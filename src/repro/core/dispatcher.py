@@ -515,8 +515,8 @@ class BatchDispatcher:
                 self.metrics.increment("dispatcher.shed.bulk_deferred",
                                        len(candidates) - len(live))
                 candidates = live
-        ordered = self.pipeline.batch_admission.order(candidates)
-        wave = ordered[:self.config.batch_max_size]
+        wave = self.pipeline.batch_admission.order(
+            candidates, self.config.batch_max_size)
         selected = {id(ticket) for ticket in wave}
         self.queue = [ticket for ticket in self.queue
                       if id(ticket) not in selected]

@@ -979,8 +979,13 @@ class BatchAdmissionStage(PipelineStage):
     site share a single client-to-PoA transfer.
     """
 
-    def order(self, slots: Sequence[_BatchSlot]) -> List[_BatchSlot]:
-        """The weighted-priority admission order (slack-sorted in a class)."""
+    def order(self, slots: Sequence[_BatchSlot],
+              limit: Optional[int] = None) -> List[_BatchSlot]:
+        """The weighted-priority admission order (slack-sorted in a class).
+
+        With ``limit`` the round robin stops after ``limit`` picks, so
+        ``order(slots, k) == order(slots)[:k]`` without ordering the rest.
+        """
         queues: Dict[Priority, List[_BatchSlot]] = {p: [] for p in Priority}
         for slot in slots:
             queues[slot.item.priority_class()].append(slot)
@@ -991,12 +996,12 @@ class BatchAdmissionStage(PipelineStage):
                            if slot.item.deadline is not None else infinity)
         ordered: List[_BatchSlot] = []
         cursors = {priority: 0 for priority in Priority}
-        remaining = len(slots)
-        while remaining:
+        remaining = len(slots) if limit is None else min(limit, len(slots))
+        while remaining > 0:
             for priority in Priority:
                 queue, cursor = queues[priority], cursors[priority]
                 take = min(self.config.weight_of(priority),
-                           len(queue) - cursor)
+                           len(queue) - cursor, remaining)
                 if take <= 0:
                     continue
                 ordered.extend(queue[cursor:cursor + take])

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.storage.records import RecordVersion
 
 #: Attributes naming subscriber identities; flips avoid these so a
 #: corrupted record stays resolvable (the realistic -- and harder to
@@ -149,21 +148,15 @@ def flip_store_record(store, key: str, rng) -> bool:
 
     Same version slot, no new chain entry, applied-sequence untouched --
     the way bit rot would do it; the store's RAM accounting follows the
-    value it now actually holds.  Returns False when the key has no
-    versions.  Usable directly against a bare replica-set copy in tests;
+    value it now actually holds.  Returns False when the key has no live
+    record (never written, or deleted: a tombstone is not revived).
+    Usable directly against a bare replica-set copy in tests;
     :func:`apply_corruption` routes ``byte_flip`` through here.
     """
-    chain = store._versions.get(key)
-    if not chain:
+    latest = store.latest(key)
+    if latest is None or latest.is_delete:
         return False
-    latest = chain[-1]
-    corrupted = RecordVersion(
-        key=latest.key, value=flip_value(latest.value, rng),
-        commit_seq=latest.commit_seq,
-        transaction_id=latest.transaction_id, origin=latest.origin)
-    chain[-1] = corrupted
-    store._live_bytes += corrupted.size() - latest.size()
-    return True
+    return store.replace_latest(key, flip_value(latest.value, rng))
 
 
 def _apply_byte_flip(udr, corruption: SilentCorruption, rng,
@@ -179,7 +172,7 @@ def _apply_byte_flip(udr, corruption: SilentCorruption, rng,
         report.detail = "slave store is empty"
         return
     if not flip_store_record(store, key, rng):
-        report.detail = f"no versions of {key!r}"
+        report.detail = f"no live record {key!r}"
         return
     report.applied = True
     report.element_name = slave_name

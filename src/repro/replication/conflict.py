@@ -67,7 +67,7 @@ def detect_conflicts(copies: Dict[str, PartitionCopy]) -> List[KeyConflict]:
         return []
     all_keys: set = set()
     for copy in copies.values():
-        all_keys.update(key for key, chain in copy.store._versions.items() if chain)
+        all_keys.update(copy.store.versioned_keys())
     conflicts: List[KeyConflict] = []
     for key in sorted(all_keys):
         signatures = {name: _chain_signature(copy, key)

@@ -80,7 +80,7 @@ class ConsistencyRestoration:
             resolver_name=self.resolver.name)
         all_keys: set = set()
         for copy in copies.values():
-            all_keys.update(copy.store._versions.keys())
+            all_keys.update(copy.store.versioned_keys())
         report.keys_scanned = len(all_keys)
 
         conflicts = detect_conflicts(copies)

@@ -7,6 +7,12 @@ slave copy is) and multi-master conflict detection (divergent chains).
 
 Only the *latest* version of each record counts towards RAM usage: old
 versions exist for analysis and would be garbage-collected by a real engine.
+
+The accounting is incremental: the store keeps the size of every key's
+latest live version, so the live-record count is the size map's length and
+each committed version is sized once, when it is applied.  Only this class's
+methods may change a version chain; anything else would bypass the
+accounting.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ class RecordStore:
     def __init__(self, name: str = "store"):
         self.name = name
         self._versions: Dict[str, List[RecordVersion]] = {}
+        #: Size of the latest version of every live key (tombstoned keys
+        #: are absent), so ``len(self)`` is ``len(self._latest_sizes)``.
+        self._latest_sizes: Dict[str, int] = {}
         self._dirty: Dict[str, Dict[int, Any]] = {}
         self._live_bytes = 0
         self._last_applied_seq = 0
@@ -47,20 +56,50 @@ class RecordStore:
 
     def apply_version(self, version: RecordVersion) -> None:
         """Install a committed version (from a local commit or replication)."""
-        chain = self._versions.setdefault(version.key, [])
-        previous = chain[-1] if chain else None
-        chain.append(version)
+        key = version.key
+        chain = self._versions.get(key)
+        if chain is None:
+            self._versions[key] = [version]
+        else:
+            chain.append(version)
         # The watermark orders across promotion epochs: a new master's
         # commit numbering can overlap the deposed master's unshipped tail,
         # so (epoch, seq) -- not seq alone -- defines recency.
-        if version.position > self.last_applied_position:
+        if (version.epoch, version.commit_seq) > \
+                (self._last_applied_epoch, self._last_applied_seq):
             self._last_applied_epoch = version.epoch
             self._last_applied_seq = version.commit_seq
         # RAM accounting: replace the previous latest version's footprint.
-        if previous is not None and not previous.is_delete:
-            self._live_bytes -= previous.size()
-        if not version.is_delete:
-            self._live_bytes += version.size()
+        sizes = self._latest_sizes
+        if version.value is TOMBSTONE:
+            self._live_bytes -= sizes.pop(key, 0)
+        else:
+            size = version.size()
+            self._live_bytes += size - sizes.get(key, 0)
+            sizes[key] = size
+
+    def replace_latest(self, key: str, value: Any) -> bool:
+        """Overwrite the value of ``key``'s latest live version in place.
+
+        Same version slot, no new chain entry, watermark untouched (what
+        silent corruption does to a copy); the RAM accounting follows the
+        new value.  Returns False, changing nothing, when ``key`` has no
+        live record or ``value`` is a tombstone.
+        """
+        previous = self._latest_sizes.get(key)
+        if previous is None or value is TOMBSTONE:
+            return False
+        chain = self._versions[key]
+        latest = chain[-1]
+        replacement = RecordVersion(
+            key=key, value=value, commit_seq=latest.commit_seq,
+            transaction_id=latest.transaction_id, origin=latest.origin,
+            epoch=latest.epoch)
+        chain[-1] = replacement
+        size = replacement.size()
+        self._live_bytes += size - previous
+        self._latest_sizes[key] = size
+        return True
 
     def latest(self, key: str) -> Optional[RecordVersion]:
         """Latest committed version of ``key`` (may be a tombstone), or None."""
@@ -99,8 +138,7 @@ class RecordStore:
         return list(self._versions.get(key, []))
 
     def contains(self, key: str) -> bool:
-        version = self.latest(key)
-        return version is not None and not version.is_delete
+        return key in self._latest_sizes
 
     def keys(self) -> Iterable[str]:
         """Keys with a live (non-deleted) committed record."""
@@ -108,8 +146,12 @@ class RecordStore:
             if chain and not chain[-1].is_delete:
                 yield key
 
+    def versioned_keys(self) -> Iterable[str]:
+        """Every key with a version chain, tombstoned keys included."""
+        return self._versions.keys()
+
     def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+        return len(self._latest_sizes)
 
     @property
     def live_bytes(self) -> int:
@@ -152,6 +194,7 @@ class RecordStore:
         records carry the checkpoint's ``commit_seq``.
         """
         self._versions.clear()
+        self._latest_sizes.clear()
         self._dirty.clear()
         self._live_bytes = 0
         self._last_applied_seq = 0

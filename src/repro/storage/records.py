@@ -33,7 +33,7 @@ TOMBSTONE = _Tombstone()
 """Value stored for a deleted record (so deletions replicate like writes)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RecordVersion:
     """One committed version of a record.
 
@@ -57,14 +57,35 @@ class RecordVersion:
         Version recency is ordered by ``(epoch, commit_seq)`` so a new
         master's commits supersede a deposed master's unshipped tail even
         when their sequence numbers overlap.
+
+    Every committed version is kept for the life of its store, so the
+    class is slotted.  ``dataclass(slots=True)`` needs Python 3.10; an
+    explicit ``__slots__`` with a hand-written ``__init__`` works on 3.9
+    (slots cannot coexist with class-level field defaults).
     """
+
+    __slots__ = ("key", "value", "commit_seq", "transaction_id", "origin",
+                 "epoch")
 
     key: str
     value: Any
     commit_seq: int
     transaction_id: int
-    origin: str = ""
-    epoch: int = 0
+    origin: str
+    epoch: int
+
+    def __init__(self, key: str, value: Any, commit_seq: int,
+                 transaction_id: int, origin: str = "", epoch: int = 0):
+        set_field = object.__setattr__
+        set_field(self, "key", key)
+        set_field(self, "value", value)
+        set_field(self, "commit_seq", commit_seq)
+        set_field(self, "transaction_id", transaction_id)
+        set_field(self, "origin", origin)
+        set_field(self, "epoch", epoch)
+
+    def __reduce__(self):
+        return reduce_slotted(self)
 
     @property
     def position(self) -> tuple:
@@ -79,6 +100,17 @@ class RecordVersion:
         return record_size(self.value)
 
 
+def reduce_slotted(instance: Any) -> tuple:
+    """``__reduce__`` for a frozen slotted dataclass (copy and pickle).
+
+    The default slot-state protocol restores through ``setattr``, which a
+    frozen dataclass refuses; rebuilding through the constructor does not.
+    The slots must be listed in the ``__init__`` parameter order.
+    """
+    return (type(instance),
+            tuple(getattr(instance, name) for name in instance.__slots__))
+
+
 def record_size(value: Any) -> int:
     """Approximate in-RAM size, in bytes, of a record value.
 
@@ -89,15 +121,25 @@ def record_size(value: Any) -> int:
     """
     if value is TOMBSTONE or value is None:
         return 16
-    if isinstance(value, Mapping):
+    if type(value) is dict or isinstance(value, Mapping):
         total = 64
         for attribute, attribute_value in value.items():
-            total += 24 + len(str(attribute)) + _value_size(attribute_value)
+            name = attribute if type(attribute) is str else str(attribute)
+            total += 24 + len(name) + _value_size(attribute_value)
         return total
     return 24 + _value_size(value)
 
 
 def _value_size(value: Any) -> int:
+    # Exact-type fast paths for what profiles hold; the isinstance chain
+    # after them sizes these types identically (and everything else).
+    kind = type(value)
+    if kind is str:
+        return 49 + len(value)
+    if kind is int or kind is bool or kind is float:
+        return 28
+    if kind is dict:
+        return record_size(value)
     if isinstance(value, str):
         return 49 + len(value)
     if isinstance(value, bytes):

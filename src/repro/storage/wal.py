@@ -18,31 +18,61 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.storage.records import reduce_slotted
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class WriteOperation:
     """A single key write (or delete) inside a committed transaction."""
 
+    # Slotted like RecordVersion (see there for why not ``slots=True``).
+    __slots__ = ("key", "value")
+
     key: str
     value: Any
+
+    def __init__(self, key: str, value: Any):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "value", value)
+
+    def __reduce__(self):
+        return reduce_slotted(self)
 
     def __repr__(self) -> str:
         return f"WriteOperation({self.key!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LogRecord:
     """One committed transaction in the commit log."""
+
+    __slots__ = ("lsn", "transaction_id", "commit_seq", "operations",
+                 "origin", "timestamp", "epoch")
 
     lsn: int
     transaction_id: int
     commit_seq: int
     operations: Tuple[WriteOperation, ...]
-    origin: str = ""
-    timestamp: float = 0.0
+    origin: str
+    timestamp: float
     #: Promotion epoch of the mastership that committed the transaction
     #: (0 until the membership plane performs its first promotion).
-    epoch: int = 0
+    epoch: int
+
+    def __init__(self, lsn: int, transaction_id: int, commit_seq: int,
+                 operations: Tuple[WriteOperation, ...], origin: str = "",
+                 timestamp: float = 0.0, epoch: int = 0):
+        set_field = object.__setattr__
+        set_field(self, "lsn", lsn)
+        set_field(self, "transaction_id", transaction_id)
+        set_field(self, "commit_seq", commit_seq)
+        set_field(self, "operations", operations)
+        set_field(self, "origin", origin)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "epoch", epoch)
+
+    def __reduce__(self):
+        return reduce_slotted(self)
 
     @property
     def keys(self) -> Tuple[str, ...]:

@@ -67,7 +67,7 @@ def flip_slave_record(replica_set, slave_name, key, seed=11):
     from repro.faults import flip_store_record
     store = replica_set.copy_on(slave_name).store
     assert flip_store_record(store, key, corruption_rng(seed)), \
-        f"no versions of {key!r} on {slave_name}"
+        f"no live record {key!r} on {slave_name}"
     return store.latest(key)
 
 

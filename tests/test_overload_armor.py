@@ -23,6 +23,7 @@ Five suites pin the control loop down:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import QoSProfile, Read
 from repro.core import (
@@ -455,6 +456,22 @@ class TestSlackAwareOrdering:
         ordered = udr.pipeline.batch_admission.order(tickets)
         assert [t.item.deadline for t in ordered] == [0.1, 0.5, None], \
             "tightest slack first; deadline-free work at the class's back"
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs=st.lists(st.tuples(
+               st.sampled_from([None, *Priority]),
+               st.one_of(st.none(), st.sampled_from([0.1, 0.2, 0.5]))),
+           max_size=40),
+           limit=st.integers(min_value=0, max_value=45))
+    def test_limited_order_is_the_full_orders_prefix(self, small_udr, specs,
+                                                     limit):
+        udr, profiles = small_udr
+        tickets = [self._ticket(udr, profiles, priority=priority,
+                                deadline=deadline)
+                   for priority, deadline in specs]
+        admission = udr.pipeline.batch_admission
+        assert admission.order(tickets, limit) == \
+            admission.order(tickets)[:limit]
 
     def test_without_deadlines_order_is_the_pr6_round_robin(self):
         udr, profiles = build_udr(subscribers=8)

@@ -1,7 +1,16 @@
 """Unit tests for the MVCC record store, records and locks."""
 
-import pytest
+import ast
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.faults import flip_store_record
 from repro.storage import (
     LockManager,
     LockMode,
@@ -14,6 +23,7 @@ from repro.storage import (
 )
 from repro.storage.engine import staleness
 from repro.storage.records import merge_attributes
+from repro.storage.wal import LogRecord, WriteOperation
 
 
 def version(key, value, seq, tx=1, origin="test"):
@@ -111,6 +121,178 @@ class TestRecordStore:
         assert staleness(slave, master) == 0
 
 
+    def test_versioned_keys_include_tombstones(self):
+        store = RecordStore()
+        store.apply_version(version("a", {"v": 1}, 1))
+        store.apply_version(version("b", {"v": 1}, 2))
+        store.apply_version(version("b", TOMBSTONE, 3))
+        assert sorted(store.versioned_keys()) == ["a", "b"]
+        assert list(store.keys()) == ["a"]
+
+
+class TestReplaceLatest:
+    def test_replaces_value_in_the_same_slot(self):
+        store = RecordStore()
+        store.apply_version(version("k", {"v": "a"}, 1, tx=4, origin="se-0"))
+        assert store.replace_latest("k", {"v": "bbbb"})
+        (replaced,) = store.versions("k")
+        assert replaced.value == {"v": "bbbb"}
+        assert (replaced.commit_seq, replaced.transaction_id,
+                replaced.origin) == (1, 4, "se-0")
+        assert store.live_bytes == record_size({"v": "bbbb"})
+        assert store.last_applied_seq == 1
+
+    def test_refuses_missing_and_tombstoned_keys(self):
+        store = RecordStore()
+        store.apply_version(version("k", {"v": 1}, 1))
+        store.apply_version(version("k", TOMBSTONE, 2))
+        assert not store.replace_latest("k", {"v": 2})
+        assert not store.replace_latest("missing", {"v": 2})
+        assert store.versions("k")[-1].is_delete
+        assert (len(store), store.live_bytes) == (0, 0)
+
+    def test_refuses_a_tombstone_value(self):
+        store = RecordStore()
+        store.apply_version(version("k", {"v": 1}, 1))
+        assert not store.replace_latest("k", TOMBSTONE)
+        assert store.read_committed("k") == {"v": 1}
+
+    def test_corruption_does_not_revive_a_deleted_record(self):
+        store = RecordStore()
+        store.apply_version(version("live", {"v": "x"}, 1))
+        store.apply_version(version("gone", {"v": "y"}, 2))
+        store.apply_version(version("gone", TOMBSTONE, 3))
+        before = (len(store), store.live_bytes)
+        assert not flip_store_record(store, "gone", random.Random(1))
+        assert not store.contains("gone")
+        assert (len(store), store.live_bytes) == before
+
+    def test_corruption_keeps_the_accounting_in_step(self):
+        store = RecordStore()
+        store.apply_version(version("k", {"v": "abc", "imsi": "1"}, 1))
+        assert flip_store_record(store, "k", random.Random(1))
+        assert store.read_committed("k") == {"v": "cba~", "imsi": "1"}
+        assert store.live_bytes == record_size(store.read_committed("k"))
+
+
+# Random store histories: writes (re-creating deleted keys), deletes,
+# snapshots, restores and in-place replacements over a few keys.
+_keys = st.sampled_from(["a", "b", "c", "d"])
+_scalars = st.one_of(st.text(max_size=8), st.integers(), st.booleans(),
+                     st.floats(allow_nan=False))
+_values = st.one_of(
+    _scalars,
+    st.dictionaries(st.text(min_size=1, max_size=4),
+                    st.one_of(_scalars, st.lists(_scalars, max_size=3),
+                              st.dictionaries(st.text(max_size=3), _scalars,
+                                              max_size=2)),
+                    max_size=4))
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("write"), _keys, _values),
+    st.tuples(st.just("delete"), _keys),
+    st.tuples(st.just("replace"), _keys, _values),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"))), max_size=40)
+
+
+class TestAccountingOracle:
+    """The incremental accounting always equals a from-scratch recount."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_steps)
+    def test_count_and_bytes_match_a_recount(self, steps):
+        store = RecordStore()
+        image, seq = {}, 0
+        for step in steps:
+            kind = step[0]
+            if kind == "write":
+                seq += 1
+                store.apply_version(version(step[1], step[2], seq))
+            elif kind == "delete":
+                seq += 1
+                store.apply_version(version(step[1], TOMBSTONE, seq))
+            elif kind == "replace":
+                live = store.contains(step[1])
+                assert store.replace_latest(step[1], step[2]) == live
+            elif kind == "snapshot":
+                image = store.snapshot()
+            else:
+                store.restore(image, commit_seq=seq)
+            live_keys = list(store.keys())
+            assert len(store) == len(live_keys)
+            assert store.live_bytes == sum(
+                record_size(store.latest(key).value) for key in live_keys)
+            assert all(store.contains(key) for key in live_keys)
+
+    def test_loading_a_subscriber_base_never_walks_the_keys(self,
+                                                            monkeypatch):
+        from repro.core import UDRConfig, UDRNetworkFunction
+        from repro.subscriber import SubscriberGenerator
+
+        config = UDRConfig(seed=3)
+        udr = UDRNetworkFunction(config)
+        udr.start()
+        profiles = SubscriberGenerator(config.regions, seed=3).generate(300)
+
+        def walk(self):
+            raise AssertionError("load_subscriber_base walked a store's keys")
+
+        monkeypatch.setattr(RecordStore, "keys", walk)
+        assert udr.load_subscriber_base(profiles) == 300
+        monkeypatch.undo()
+        assert sum(element.subscriber_count()
+                   for element in udr.elements.values()) == 300
+
+
+class TestPrivateStoreState:
+    """Only ``storage/engine.py`` touches a ``RecordStore``'s private state."""
+
+    PRIVATE = {"_versions", "_latest_sizes", "_live_bytes"}
+
+    def test_no_module_outside_the_engine_reaches_in(self):
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        engine = root / "storage" / "engine.py"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == engine:
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            offenders.extend(
+                f"{path.relative_to(root)}:{node.lineno} .{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in self.PRIVATE)
+        assert offenders == []
+
+
+class TestSlottedRecords:
+    SAMPLES = (
+        version("k", {"v": 1}, 3, tx=9, origin="se-1"),
+        WriteOperation("k", {"v": 1}),
+        LogRecord(lsn=1, transaction_id=9, commit_seq=3,
+                  operations=(WriteOperation("k", {"v": 1}),),
+                  origin="se-1", timestamp=2.5, epoch=1),
+    )
+
+    @pytest.mark.parametrize("sample", SAMPLES,
+                             ids=lambda s: type(s).__name__)
+    def test_slotted_frozen_and_comparable(self, sample):
+        assert not hasattr(sample, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            sample.key = "other"
+        assert copy.copy(sample) == sample
+        assert copy.deepcopy(sample) == sample
+        assert pickle.loads(pickle.dumps(sample)) == sample
+
+    def test_defaults_and_inequality(self):
+        plain = RecordVersion("k", {"v": 1}, 3, 9)
+        assert (plain.origin, plain.epoch) == ("", 0)
+        assert plain != RecordVersion("k", {"v": 1}, 3, 9, epoch=1)
+        record = LogRecord(1, 9, 3, ())
+        assert (record.origin, record.timestamp, record.epoch) == ("", 0.0, 0)
+        assert hash(WriteOperation("k", 1)) == hash(WriteOperation("k", 1))
+
+
 class TestRecordHelpers:
     def test_record_size_grows_with_content(self):
         small = record_size({"msisdn": "346"})
@@ -120,6 +302,27 @@ class TestRecordHelpers:
     def test_record_size_of_tombstone_and_none(self):
         assert record_size(TOMBSTONE) == 16
         assert record_size(None) == 16
+
+    def test_record_size_of_a_flat_profile(self):
+        # 64 + (24 + 1 + 49 + 2) + 3 * (24 + 1 + 28)
+        assert record_size({"a": "xy", "n": 1, "b": True, "f": 1.5}) == 299
+
+    def test_exact_type_fast_paths_size_like_subclasses(self):
+        class Str(str):
+            pass
+
+        class Int(int):
+            pass
+
+        class Dict(dict):
+            pass
+
+        value = {"name": "alice", "n": 7, "nested": {"x": "yz"}}
+        mirrored = Dict(name=Str("alice"), n=Int(7),
+                        nested=Dict(x=Str("yz")))
+        assert record_size(value) == record_size(mirrored)
+        assert record_size("alice") == record_size(Str("alice"))
+        assert record_size({1: "a"}) == record_size({"1": "a"})
 
     def test_merge_attributes_updates_and_deletes(self):
         base = {"a": 1, "b": 2}
