@@ -57,16 +57,11 @@ class RecordStore:
     def apply_version(self, version: RecordVersion) -> None:
         """Install a committed version (from a local commit or replication)."""
         key = version.key
-        chain = self._versions.get(key)
-        if chain is None:
-            self._versions[key] = [version]
-        else:
-            chain.append(version)
+        self._versions.setdefault(key, []).append(version)
         # The watermark orders across promotion epochs: a new master's
         # commit numbering can overlap the deposed master's unshipped tail,
         # so (epoch, seq) -- not seq alone -- defines recency.
-        if (version.epoch, version.commit_seq) > \
-                (self._last_applied_epoch, self._last_applied_seq):
+        if version.position > self.last_applied_position:
             self._last_applied_epoch = version.epoch
             self._last_applied_seq = version.commit_seq
         # RAM accounting: replace the previous latest version's footprint.

@@ -121,31 +121,25 @@ def record_size(value: Any) -> int:
     """
     if value is TOMBSTONE or value is None:
         return 16
-    if type(value) is dict or isinstance(value, Mapping):
+    if isinstance(value, (dict, Mapping)):
         total = 64
         for attribute, attribute_value in value.items():
-            name = attribute if type(attribute) is str else str(attribute)
-            total += 24 + len(name) + _value_size(attribute_value)
+            total += 24 + len(str(attribute)) + _value_size(attribute_value)
         return total
     return 24 + _value_size(value)
 
 
 def _value_size(value: Any) -> int:
-    # Exact-type fast paths for what profiles hold; the isinstance chain
-    # after them sizes these types identically (and everything else).
-    kind = type(value)
-    if kind is str:
-        return 49 + len(value)
-    if kind is int or kind is bool or kind is float:
-        return 28
-    if kind is dict:
-        return record_size(value)
+    # Ordered by what profiles hold; the ``Mapping`` ABC check is slow, so
+    # plain dicts are caught before it.
     if isinstance(value, str):
         return 49 + len(value)
+    if isinstance(value, (int, float)):
+        return 28
+    if isinstance(value, dict):
+        return record_size(value)
     if isinstance(value, bytes):
         return 33 + len(value)
-    if isinstance(value, (int, float, bool)):
-        return 28
     if isinstance(value, (list, tuple, set, frozenset)):
         return 56 + sum(_value_size(item) for item in value)
     if isinstance(value, Mapping):

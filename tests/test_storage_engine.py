@@ -307,7 +307,7 @@ class TestRecordHelpers:
         # 64 + (24 + 1 + 49 + 2) + 3 * (24 + 1 + 28)
         assert record_size({"a": "xy", "n": 1, "b": True, "f": 1.5}) == 299
 
-    def test_exact_type_fast_paths_size_like_subclasses(self):
+    def test_subclasses_size_like_their_base_types(self):
         class Str(str):
             pass
 
