@@ -57,7 +57,7 @@ def provision_and_crash(mode: ReplicationMode, writes: int = 25):
             latencies.append(udr.sim.now - start)
             expected[profile.key] = f"+34{index:09d}"
 
-    replica_set = udr._replica_set_of_element(target)
+    replica_set = udr.deployment.replica_set_of_element(target)
     udr.elements[target].crash(timestamp=udr.sim.now)
     lost = 0
     for key, value in expected.items():

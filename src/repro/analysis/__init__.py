@@ -25,9 +25,7 @@ counted and reported so they cannot accumulate silently.
 Entry points:
 
 * :class:`~repro.analysis.engine.LintEngine` -- programmatic API;
-* ``scripts/reprolint.py`` -- the CLI (used by the CI ``lint`` job);
-* ``scripts/check_api_boundaries.py`` -- thin shim over the API-boundary
-  checker (kept for CI-workflow compatibility).
+* ``scripts/reprolint.py`` -- the CLI (used by the CI ``lint`` job).
 """
 
 from repro.analysis.findings import Finding, Suppression

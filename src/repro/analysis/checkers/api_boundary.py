@@ -1,10 +1,8 @@
 """API boundary: experiments and examples ride the typed session API.
 
-The AST-accurate replacement for the grep that used to live in
-``scripts/check_api_boundaries.py`` (that script is now a thin shim over
-this checker).  The grep missed aliased imports (``from repro.ldap.
-operations import SearchRequest as SR``), matched commented-out code, and
-could not see through local rebinding; the AST pass resolves origins.
+The AST pass resolves import origins, so aliased imports (``from repro.
+ldap.operations import SearchRequest as SR``) are caught and commented-out
+code is not.  ``scripts/reprolint.py`` runs it with the other checkers.
 
 ``API001``
     Raw LDAP request construction (``SearchRequest(...)``,
@@ -12,57 +10,39 @@ could not see through local rebinding; the AST pass resolves origins.
     inside the policed trees.  The LDAP encoding lives only in
     ``api/operations.py`` -- workload code issues typed
     ``Read``/``Search``/``Write``/``Provision`` operations.
-
-``API002``
-    Calls into the deprecated facade shims ``udr.execute`` / ``udr.submit``
-    / ``udr.call`` / ``udr.execute_batch`` (on any name bound to the
-    facade, including simple local aliases).  Going through the core
-    explicitly (``udr.pipeline.execute``, ``udr.dispatcher.submit``) stays
-    legal: those receivers are not the facade itself.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Iterable, List
 
 from repro.analysis.checkers.base import Checker
 from repro.analysis.findings import Finding
 from repro.analysis.imports import attribute_chain
 
-#: Trees where raw requests / legacy shims are forbidden.
+#: Trees where raw requests are forbidden.
 POLICED_PREFIXES = ("src/repro/experiments/", "examples/")
 
 #: Raw-request constructors (defined in repro/ldap/operations.py).
 REQUEST_CLASSES = {"SearchRequest", "ModifyRequest", "AddRequest",
                    "DeleteRequest", "LdapRequest"}
 
-#: The deprecated facade entry points.
-LEGACY_SHIMS = {"execute", "submit", "call", "execute_batch"}
-
 
 class ApiBoundaryChecker(Checker):
 
     RULES = {
         "API001": "raw LDAP request construction outside the API layer",
-        "API002": "call into a deprecated udr.execute/submit/call/"
-                  "execute_batch facade shim",
     }
 
     def check(self, module) -> Iterable[Finding]:
         if not module.rel_path.startswith(POLICED_PREFIXES):
             return []
         findings: List[Finding] = []
-        facade_names = self._facade_aliases(module)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            findings.extend(self._check_raw_request(module, node))
-            findings.extend(
-                self._check_legacy_shim(module, node, facade_names))
+            if isinstance(node, ast.Call):
+                findings.extend(self._check_raw_request(module, node))
         return findings
-
-    # -- API001 ------------------------------------------------------------
 
     def _check_raw_request(self, module,
                            node: ast.Call) -> Iterable[Finding]:
@@ -87,52 +67,8 @@ class ApiBoundaryChecker(Checker):
             if target.startswith("repro.") and leaf in REQUEST_CLASSES:
                 return leaf
         # Unresolved surface spelling (star import, helper-built alias):
-        # fall back to the literal name, same net as the old grep.
+        # fall back to the literal name.
         chain = attribute_chain(func)
         if chain and chain[-1] in REQUEST_CLASSES:
             return chain[-1]
         return None
-
-    # -- API002 ------------------------------------------------------------
-
-    def _facade_aliases(self, module) -> Set[str]:
-        """Names plausibly bound to the facade: ``udr`` plus simple local
-        aliases (``u = udr``)."""
-        names = {"udr"}
-        changed = True
-        while changed:
-            changed = False
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not isinstance(node.value, ast.Name) or \
-                        node.value.id not in names:
-                    continue
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and \
-                            target.id not in names:
-                        names.add(target.id)
-                        changed = True
-        return names
-
-    def _check_legacy_shim(self, module, node: ast.Call,
-                           facade_names: Set[str]) -> Iterable[Finding]:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or \
-                func.attr not in LEGACY_SHIMS:
-            return
-        chain = attribute_chain(func)
-        if chain is None or len(chain) < 2:
-            return
-        # The receiver is the chain minus the shim attribute; flag when it
-        # IS the facade (``udr`` / an alias / ``self.udr``), not when the
-        # call reaches through it into the core (``udr.pipeline.execute``).
-        receiver = chain[:-1]
-        if receiver[-1] not in facade_names:
-            return
-        yield Finding(
-            rule="API002", path=module.rel_path, line=node.lineno,
-            message=f"deprecated facade shim udr.{func.attr}() -- counted "
-                    f"under api.legacy_calls at runtime",
-            hint="use a Session (submit/call/submit_many) or reach the "
-                 "core explicitly (udr.pipeline / udr.dispatcher)")

@@ -6,12 +6,12 @@ named client to a deployment (``udr.attach(name, site, qos=...)``), opens a
 :class:`~repro.api.operations.Operation` requests -- ``Read``, ``Search``,
 ``Write``, ``Provision`` -- instead of hand-building LDAP request objects:
 
-* ``session.call(op)`` is the blocking path (the old ``udr.execute`` /
-  ``udr.call``);
+* ``session.call(op)`` is the blocking path, routed by
+  ``UDRConfig.dispatch_mode``;
 * ``session.submit(op)`` returns a :class:`~repro.api.session.ResponseFuture`
-  immediately (the old dispatcher ticket path);
+  immediately;
 * ``session.submit_many(ops)`` carries a whole list through one batched
-  admission (the old ``udr.execute_batch``), one future per operation.
+  admission, one future per operation.
 
 A per-session :class:`~repro.api.qos.QoSProfile` (priority class, retry
 policy, deadline ticks) overrides the global ``UDRConfig`` knobs and flows
@@ -19,9 +19,10 @@ with every operation through dispatcher wave formation and the pipeline's
 retry stage, so an expired operation short-circuits with
 ``TIME_LIMIT_EXCEEDED`` instead of consuming pipeline hops.
 
-The legacy ``UDRNetworkFunction.execute/submit/call/execute_batch`` entry
-points survive as deprecation shims that delegate here and count the
-``api.legacy_calls`` metric.
+This is the only way in: ``UDRNetworkFunction`` issues no requests of its
+own.  Code that must drive the core below the session layer (mixed-client
+batches, equivalence tests) names the layer it calls --
+``udr.pipeline.execute`` / ``execute_batch`` or ``udr.dispatcher.submit``.
 """
 
 from repro.api.operations import (

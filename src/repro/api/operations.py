@@ -16,8 +16,8 @@ example.  An :class:`Operation` names the *intent* instead:
 ``to_request()`` produces the exact LDAP request the legacy call sites
 built, so a sessioned operation and a hand-built request walk the pipeline
 identically -- the equivalence suite in ``tests/test_session_api.py`` pins
-that down.  The LDAP encoding lives *only* here; a CI check
-(``scripts/check_api_boundaries.py``) keeps raw request construction out of
+that down.  The LDAP encoding lives *only* here; reprolint rule ``API001``
+(``scripts/reprolint.py``) keeps raw request construction out of
 ``src/repro/experiments/`` and ``examples/``.
 """
 

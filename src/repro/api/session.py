@@ -5,27 +5,26 @@ site and a client type, obtained from
 :meth:`repro.core.udr.UDRNetworkFunction.attach`.  A client opens
 :class:`Session`\\ s (context managers); a session issues typed
 :class:`~repro.api.operations.Operation`\\ s and returns
-:class:`ResponseFuture`\\ s.  One session API replaces the three legacy
-entry-point families:
+:class:`ResponseFuture`\\ s.  Each session call wraps one core call:
 
-=====================  ==========================================
-legacy                 session
-=====================  ==========================================
-``udr.execute(req)``   ``yield from session.call(op)``
-``udr.call(req)``      ``yield from session.call(op)`` (same --
-                       ``call`` routes by ``dispatch_mode``)
-``udr.submit(req)``    ``session.submit(op)`` -> future
-``udr.execute_batch``  ``session.submit_many(ops)`` -> futures,
-                       or ``yield from session.execute_batch(ops)``
-=====================  ==========================================
+============================  ===============================================
+session                       core call it wraps
+============================  ===============================================
+``session.call(op)``          ``udr.pipeline.execute`` (``DIRECT``) or
+                              ``udr.dispatcher.submit`` and wait
+                              (``DISPATCHER``)
+``session.submit(op)``        the same, returning a future at once
+``session.submit_many(ops)``  ``udr.pipeline.execute_batch`` -> futures
+``session.execute_batch``     ``udr.pipeline.execute_batch`` -> responses
+============================  ===============================================
 
-Routing follows ``UDRConfig.dispatch_mode`` exactly as the legacy paths
-did: under ``DISPATCHER`` a submit enqueues into the arrival-driven batch
-dispatcher (the client's name is the *source tag*, so all of a session's
-operations completing in one wave share a single grouped response event);
-under ``DIRECT`` a submit runs the pipeline in its own simulation process
-and ``call`` walks it inline -- bit-for-bit the legacy ``execute`` when the
-session carries no QoS overrides.
+Routing follows ``UDRConfig.dispatch_mode``: under ``DISPATCHER`` a submit
+enqueues into the arrival-driven batch dispatcher (the client's name is the
+*source tag*, so all of a session's operations completing in one wave share
+a single grouped response event); under ``DIRECT`` a submit runs the
+pipeline in its own simulation process and ``call`` walks it inline --
+bit-for-bit ``udr.pipeline.execute`` when the session carries no QoS
+overrides.
 
 The session's :class:`~repro.api.qos.QoSProfile` stamps every operation
 with its priority class, retry policy and absolute deadline; per-operation

@@ -100,7 +100,7 @@ class DispatchTicket:
     submitted with a ``source`` tag share *one* grouped response event per
     wave per source instead (``event`` is ``None``): the caller yields
     :meth:`BatchDispatcher.response_event` until :attr:`response` is set,
-    which is how ``udr.call`` waits.  ``enqueued_at`` / ``completed_at``
+    which is how a session future waits.  ``enqueued_at`` / ``completed_at``
     bracket the client-perceived latency, queue wait included.
     """
 

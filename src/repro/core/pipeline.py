@@ -61,7 +61,7 @@ end of each request); ``execute_batch`` defers everything to one flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import PointOfAccess, closest_point_of_access
 from repro.directory.errors import LocatorSyncInProgress, UnknownIdentity
@@ -1202,14 +1202,10 @@ class OperationPipeline:
 
     # -- the batched operation path ------------------------------------------------
 
-    def execute_batch(self, items: Sequence[Union[BatchItem, LdapRequest]],
-                      client_type: Optional[ClientType] = None,
-                      client_site: Optional[Site] = None):
+    def execute_batch(self, items: Sequence[BatchItem]):
         """Generator: carry N requests through the stages together.
 
-        ``items`` is a sequence of :class:`BatchItem`; bare
-        :class:`LdapRequest` objects are accepted too when ``client_type``
-        and ``client_site`` describe the whole batch.  Returns the list of
+        ``items`` is a sequence of :class:`BatchItem`.  Returns the list of
         :class:`~repro.ldap.operations.LdapResponse` in submission order.
 
         Equivalence: result codes and final store state are identical to N
@@ -1223,9 +1219,7 @@ class OperationPipeline:
         amortises the shared hops and flushes the metric batch exactly once
         at the end.
         """
-        slots = [_BatchSlot(self._as_item(item, client_type, client_site),
-                            index)
-                 for index, item in enumerate(items)]
+        slots = [_BatchSlot(item, index) for index, item in enumerate(items)]
         responses: List[Optional[LdapResponse]] = [None] * len(slots)
         waves = self.batch_admission.waves(self.batch_admission.order(slots))
         self.batch.increment("batch.batches")
@@ -1250,15 +1244,6 @@ class OperationPipeline:
                                   responses, charge_linger=False)
         self.batch.flush()
         return responses
-
-    @staticmethod
-    def _as_item(item, client_type, client_site) -> BatchItem:
-        if isinstance(item, BatchItem):
-            return item
-        if client_type is None or client_site is None:
-            raise TypeError("bare LdapRequest batch items need client_type "
-                            "and client_site")
-        return BatchItem(item, client_type, client_site)
 
     def _run_wave(self, wave: List[_BatchSlot],
                   responses: List[Optional[LdapResponse]],

@@ -18,9 +18,13 @@ delegating to:
   owns crash/recovery, fail-over, consistency restoration, scale-out and the
   background replication/checkpoint processes.
 
-The façade keeps the attribute surface the experiments, front-ends and tests
-grew against (``topology``, ``elements``, ``replica_sets``, ``locators``,
-``execute``, ...); new code should reach for the layers directly.
+Traffic has one front door: :meth:`UDRNetworkFunction.attach` returns a
+:class:`~repro.api.session.UDRClient` whose sessions issue typed operations
+(see :mod:`repro.api`).  The façade itself issues no requests; code that
+must drive the core directly names the layer (``udr.pipeline.execute``,
+``udr.dispatcher.submit``).  It keeps the attribute surface the
+experiments and tests grew against (``topology``, ``elements``,
+``replica_sets``, ``locators``, ...).
 """
 
 from __future__ import annotations
@@ -29,36 +33,21 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.balancer import PointOfAccess
 from repro.directory.sync import MapSynchroniser
-from repro.ldap.operations import LdapRequest
 from repro.metrics.collector import MetricsRegistry
 from repro.net.topology import Site
-from repro.replication.replica_set import ReplicaSet
 from repro.replication.restoration import RestorationReport
 from repro.sim.engine import Simulation
 from repro.storage.storage_element import StorageElement
-from repro.subscriber.profile import SubscriberProfile
-from repro.core.config import ClientType, DispatchMode, Priority, UDRConfig
-from repro.core.deployment import (
-    IDENTITY_RECORD_ATTRIBUTE,
-    Deployment,
-    DeploymentBuilder,
-)
-from repro.core.dispatcher import BatchDispatcher, DispatchTicket
+from repro.core.config import ClientType, DispatchMode, UDRConfig
+from repro.core.deployment import Deployment, DeploymentBuilder
+from repro.core.dispatcher import BatchDispatcher
 from repro.core.lifecycle import ClusterController
 from repro.core.location_cache import LocationCacheGroup
-from repro.core.pipeline import (
-    OperationFailure,
-    OperationPipeline,
-    _PlacementView,
-)
+from repro.core.pipeline import OperationPipeline
 
 if False:  # pragma: no cover - type-checking only (avoids a circular import)
     from repro.api.qos import QoSProfile
     from repro.api.session import UDRClient
-
-#: Backwards-compatible aliases for the pre-refactor private names.
-_IDENTITY_RECORD_ATTRIBUTE = IDENTITY_RECORD_ATTRIBUTE
-_OperationFailure = OperationFailure
 
 
 class UDRNetworkFunction:
@@ -154,10 +143,6 @@ class UDRNetworkFunction:
         self.controller.stop()
         self.pipeline.flush_metrics()
 
-    @property
-    def _started(self) -> bool:
-        return self.controller.started
-
     # --------------------------------------------------------------- loading
 
     def load_subscriber_base(self, profiles) -> int:
@@ -196,13 +181,6 @@ class UDRNetworkFunction:
     def element(self, name: str) -> StorageElement:
         return self.elements[name]
 
-    def _replica_set_of_element(self, element_name: str) -> ReplicaSet:
-        return self.deployment.replica_set_of_element(element_name)
-
-    @property
-    def _primary_partition_of_element(self) -> Dict[str, int]:
-        return self.deployment.primary_partition_of_element
-
     def reachable_elements_from(self, site: Site) -> List[str]:
         return self.deployment.reachable_elements_from(site)
 
@@ -215,10 +193,6 @@ class UDRNetworkFunction:
             if value is not None:
                 return value
         return None
-
-    def _authoritative_lookup(self, identity_type: str,
-                              value: str) -> Optional[str]:
-        return self.deployment.authoritative_lookup(identity_type, value)
 
     # ------------------------------------------------------- fault injection
 
@@ -267,110 +241,6 @@ class UDRNetworkFunction:
                            qos=qos)
         self.clients[name] = client
         return client
-
-    # ----------------------------------------- operations (deprecation shims)
-    #
-    # The four entry points below predate the session API.  They survive as
-    # thin delegating shims -- new code attaches a client and issues typed
-    # operations through a Session (see repro.api) -- and each call is
-    # counted in ``api.legacy_calls`` so migrations can be tracked.
-
-    def _count_legacy_call(self, entry_point: str) -> None:
-        self.metrics.increment("api.legacy_calls")
-        self.metrics.increment(f"api.legacy_calls.{entry_point}")
-
-    def execute(self, request: LdapRequest, client_type: ClientType,
-                client_site: Site):
-        """Generator: run one LDAP request through the staged pipeline.
-
-        .. deprecated:: PR 5
-           Legacy shim; prefer ``udr.attach(...).session()`` and
-           :meth:`repro.api.session.Session.call` with a typed operation.
-
-        Returns an :class:`~repro.ldap.operations.LdapResponse`; never raises
-        for operational failures -- they are encoded as result codes, exactly
-        as a directory server would answer.
-        """
-        self._count_legacy_call("execute")
-        return self.pipeline.execute(request, client_type, client_site)
-
-    def submit(self, request: LdapRequest, client_type: ClientType,
-               client_site: Site, priority: Optional[Priority] = None,
-               source=None) -> DispatchTicket:
-        """Enqueue one request into the arrival-driven batch dispatcher.
-
-        Non-blocking: returns the request's
-        :class:`~repro.core.dispatcher.DispatchTicket`; the caller waits by
-        yielding ``ticket.event``, which triggers with the
-        :class:`~repro.ldap.operations.LdapResponse` when the request's
-        admission wave completes.  Waves form from the live arrival stream:
-        dispatch happens when ``batch_max_size`` requests have gathered or
-        the oldest has lingered ``batch_linger_ticks``, whichever first.
-        With a ``source`` tag, the ticket joins the shared-wave respond
-        path instead: wave-mates of one source share a single grouped
-        response event and the caller reads ``ticket.response`` (see
-        :meth:`~repro.core.dispatcher.BatchDispatcher.submit`).
-
-        .. deprecated:: PR 5
-           Legacy shim; prefer :meth:`repro.api.session.Session.submit`,
-           whose futures carry per-session QoS (deadlines included).
-        """
-        self._count_legacy_call("submit")
-        return self.dispatcher.submit(request, client_type, client_site,
-                                      priority=priority, source=source)
-
-    def call(self, request: LdapRequest, client_type: ClientType,
-             client_site: Site, priority: Optional[Priority] = None,
-             source=None):
-        """Generator: run one request the way ``config.dispatch_mode`` says.
-
-        ``DIRECT`` is plain call-and-wait (:meth:`execute`); ``DISPATCHER``
-        enqueues into the batch dispatcher and waits for the response, so
-        serial clients (front-ends, the provisioning system) transparently
-        contribute to -- and benefit from -- wave formation.  Callers that
-        identify themselves with a ``source`` tag are resumed through one
-        grouped response event per wave (fewer simulator events when many
-        of a front-end's requests complete together).
-
-        .. deprecated:: PR 5
-           Legacy shim; prefer :meth:`repro.api.session.Session.call`.
-        """
-        self._count_legacy_call("call")
-        if self.config.dispatch_mode is DispatchMode.DISPATCHER:
-            ticket = self.dispatcher.submit(request, client_type, client_site,
-                                            priority=priority, source=source)
-            if source is None:
-                response = yield ticket.event
-                return response
-            while ticket.response is None:
-                yield self.dispatcher.response_event(source)
-            return ticket.response
-        response = yield from self.pipeline.execute(request, client_type,
-                                                    client_site)
-        return response
-
-    def execute_batch(self, items, client_type: Optional[ClientType] = None,
-                      client_site: Optional[Site] = None):
-        """Generator: run N LDAP requests through the pipeline together.
-
-        ``items`` is a sequence of :class:`~repro.core.pipeline.BatchItem`
-        (or bare requests, with ``client_type``/``client_site`` describing
-        the whole batch).  Returns the responses in submission order;
-        result codes and final store state match N sequential
-        :meth:`execute` calls issued in the batch's admission order
-        (submission order within each priority class -- see
-        :meth:`OperationPipeline.execute_batch`), while the shared
-        admission/LDAP/locate/respond hops are paid once per admission wave
-        (``UDRConfig.batch_max_size``).
-
-        .. deprecated:: PR 5
-           Legacy shim; prefer
-           :meth:`repro.api.session.Session.submit_many` /
-           :meth:`~repro.api.session.Session.execute_batch`.
-        """
-        self._count_legacy_call("execute_batch")
-        return self.pipeline.execute_batch(items, client_type=client_type,
-                                           client_site=client_site)
 
     def flush_metrics(self) -> None:
         """Apply any batched metric records to :attr:`metrics` now."""

@@ -76,12 +76,10 @@ def write_request(profile: SubscriberProfile, **changes) -> ModifyRequest:
 class ClientPool:
     """Lazily attached sessions, one per ``(client type, site)``.
 
-    The experiments issue all traffic through the session API -- the legacy
-    ``udr.execute``/``udr.submit`` shims count ``api.legacy_calls``, which
-    CI gates at zero for experiment code -- and a pool per experiment keeps
-    attachment names (and so the ``api.client.<name>.*`` metric scopes)
-    stable across a run.  ``qos`` (optional) becomes every attachment's
-    default profile.
+    The experiments issue all traffic through the session API, and a pool
+    per experiment keeps attachment names (and so the
+    ``api.client.<name>.*`` metric scopes) stable across a run.  ``qos``
+    (optional) becomes every attachment's default profile.
     """
 
     def __init__(self, udr: UDRNetworkFunction, prefix: str = "exp",

@@ -53,7 +53,7 @@ def _measure(mode: ReplicationMode, writes: int, seed: int,
             # The latest committed value per key is what durability is about.
             expected_values[profile.key] = f"+99{index:07d}"
     # Crash the master before the async channels' next shipping round.
-    replica_set = udr._replica_set_of_element(target_element)
+    replica_set = udr.deployment.replica_set_of_element(target_element)
     udr.elements[target_element].crash(timestamp=udr.sim.now)
     lost = 0
     for key, expected_value in expected_values.items():

@@ -59,8 +59,7 @@ def _measure(batch_max_size: int, operations: int,
     items = _workload(udr, profiles, operations)
     start = udr.sim.now
     # Mixed-client batches are a core-layer concern (sessions are
-    # per-client); reach the pipeline directly rather than the deprecated
-    # ``udr.execute_batch`` shim.
+    # per-client), so reach the pipeline directly.
     responses = drive(udr, udr.pipeline.execute_batch(items), horizon=7200.0)
     elapsed = udr.sim.now - start
     return elapsed, [response.result_code.name for response in responses]

@@ -136,8 +136,7 @@ def _run_explicit(operations: int, seed: int) -> float:
     items = _workload(udr, profiles, operations)
     start = udr.sim.now
     # Mixed-client batches are a core-layer concern (sessions are
-    # per-client); reach the pipeline directly rather than the deprecated
-    # ``udr.execute_batch`` shim.
+    # per-client), so reach the pipeline directly.
     drive(udr, udr.pipeline.execute_batch(items), horizon=HORIZON)
     return operations / (udr.sim.now - start)
 

@@ -205,7 +205,7 @@ def _lost_transactions(mux_enabled: bool, writes: int, seed: int) -> int:
             ClientType.PROVISIONING, ps_site))
         if response.ok:
             expected_values[profile.key] = f"+88{index:07d}"
-    replica_set = udr._replica_set_of_element(target_element)
+    replica_set = udr.deployment.replica_set_of_element(target_element)
     udr.elements[target_element].crash(timestamp=udr.sim.now)
     lost = 0
     for key, expected in expected_values.items():

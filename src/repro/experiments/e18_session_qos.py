@@ -13,7 +13,7 @@ Five runs over one seeded trace (same arrival processes, same deployment
 name so the network latency streams match):
 
 * **legacy** -- both streams enter as raw sourceless dispatcher tickets
-  (what the deprecated ``udr.submit`` shim produced): no sessions, no QoS,
+  (``udr.dispatcher.submit`` with no source tag): no sessions, no QoS,
   the flood rides the default provisioning class and fills every wave it
   can;
 * **session, no QoS** -- the same trace through sessions with empty
@@ -128,11 +128,9 @@ def _run_legacy(signalling_ops: int, flood_ops: int, seed: int,
                 linger_ticks: int) -> Dict[str, object]:
     """The undifferentiated path: sourceless, QoS-less dispatcher tickets.
 
-    This is exactly what the deprecated ``udr.submit`` shim did (minus its
-    ``api.legacy_calls`` bookkeeping, which CI now gates at zero for
-    experiment code): raw tickets with per-ticket events, no sessions, no
-    priority override, no deadline -- the baseline every sessioned row is
-    compared against.
+    Each request goes straight to ``udr.dispatcher.submit``: raw tickets
+    with per-ticket events, no sessions, no priority override, no deadline
+    -- the baseline every sessioned row is compared against.
     """
     udr, profiles = _build(seed, linger_ticks)
     signalling, flood = _workload(udr, profiles, signalling_ops, flood_ops)

@@ -18,7 +18,8 @@ def build_udr(config=None, subscribers=60, seed=7):
 
 
 def run_to_completion(udr, generator):
-    """Run a client generator (e.g. udr.execute(...)) until it finishes."""
+    """Run a client generator (e.g. ``session.call(op)`` or
+    ``udr.pipeline.execute(...)``) until it finishes."""
     process = udr.sim.process(generator)
     udr.sim.run_until_triggered(process, limit=udr.sim.now + 120.0)
     if not process.triggered:

@@ -105,3 +105,113 @@ def inject_corruption(udr, kind, partition_index=0, seed=11, target_key=None):
     corruption = make_corruption(udr, kind, partition_index,
                                  target_key=target_key)
     return apply_corruption(udr, corruption, corruption_rng(seed))
+
+
+# -- the post-heal convergence scenario ------------------------------------------------
+#
+# Shared by the property in test_reconciliation and the pinned compound-
+# fault regression in test_membership.
+
+#: When each drawn incident starts, in draw order (simulated seconds).
+POST_HEAL_START_GRID = (0.5, 1.4, 2.3)
+POST_HEAL_INCIDENT_DURATION = 0.6
+POST_HEAL_AT = 3.2
+POST_HEAL_QUIESCE = 2.8
+
+
+def run_healed_fault_schedule(incidents, seed):
+    """Inject ``incidents`` under live writes, heal everything, quiesce.
+
+    ``incidents`` is a list of ``(kind, site_index)`` pairs, ``kind`` one
+    of ``crash``, ``partition``, ``asym_partition`` or ``disaster``; the
+    i-th starts at ``POST_HEAL_START_GRID[i]``.  The deployment runs the
+    membership plane.  Returns ``(checker, replicas, locators)``: the
+    stopped :class:`~repro.faults.InvariantChecker` (its ``violations``
+    log) and its final replica / locator convergence verdicts.
+    """
+    from repro.api.operations import Read, Write
+    from repro.core import ClientType, UDRConfig
+    from repro.core.config import MembershipPolicy
+    from repro.faults import (
+        FaultInjector,
+        FaultSchedule,
+        InvariantChecker,
+        PartitionIncident,
+        SiteDisaster,
+    )
+    from repro.net import NetworkPartition
+    from tests.conftest import build_udr
+
+    config = UDRConfig(seed=seed, name="post-heal",
+                       membership=MembershipPolicy())
+    udr, profiles = build_udr(config, subscribers=18)
+    sim = udr.sim
+    sessions = [udr.attach(f"fe-{site.name}", site,
+                           client_type=ClientType.APPLICATION_FE)
+                .session()
+                for site in udr.topology.sites]
+
+    def traffic():
+        rng = sim.rng("postheal.traffic")
+        index = 0
+        while sim.now < POST_HEAL_AT:
+            yield sim.timeout(rng.expovariate(40.0))
+            profile = profiles[index % len(profiles)]
+            operation = (Write(profile.identities.imsi,
+                               {"servingMsc": f"m-{index}"})
+                         if index % 3 else Read(profile.identities.imsi))
+            sessions[index % len(sessions)].submit(operation)
+            index += 1
+
+    sim.process(traffic(), name="postheal:traffic")
+    checker = InvariantChecker(udr)
+    checker.start()
+
+    schedule = FaultSchedule()
+    crashes = []
+    for start, (kind, site_index) in zip(POST_HEAL_START_GRID, incidents):
+        site = udr.topology.sites[site_index]
+        if kind == "crash":
+            crashes.append((start, min(
+                name for name, element in udr.elements.items()
+                if element.site == site)))
+        elif kind == "disaster":
+            schedule.add_disaster(SiteDisaster(
+                site.name, start=start,
+                duration=POST_HEAL_INCIDENT_DURATION))
+        else:
+            partition = (NetworkPartition.one_way(site)
+                         if kind == "asym_partition"
+                         else NetworkPartition.isolating(site))
+            schedule.add_partition(PartitionIncident(
+                partition, start=start,
+                duration=POST_HEAL_INCIDENT_DURATION))
+    schedule.validate()
+    FaultInjector(udr, schedule).start()
+
+    def crash_later(at, element_name):
+        yield sim.timeout(at - sim.now)
+        if udr.elements[element_name].available:
+            udr.crash_element(element_name)
+
+    for at, element_name in crashes:
+        sim.process(crash_later(at, element_name),
+                    name=f"postheal:crash:{element_name}")
+
+    sim.run(until=POST_HEAL_AT)
+    udr.network.clear_partitions()
+    for site in udr.topology.sites:
+        if udr.network.site_failed(site):
+            udr.network.restore_site(site)
+    for poa in udr.points_of_access:
+        if not poa.available:
+            poa.restore()
+    for name, element in sorted(udr.elements.items()):
+        if not element.available:
+            udr.recover_element(name)
+    sim.run(until=POST_HEAL_AT + POST_HEAL_QUIESCE)
+
+    checker.stop()
+    replicas, locators = checker.final_check()
+    checker.close()
+    return checker, replicas, locators

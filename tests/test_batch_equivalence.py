@@ -92,14 +92,14 @@ def run_sequential(udr, items):
     codes = []
     for item in items:
         response = run_to_completion(
-            udr, udr.execute(item.request, item.client_type,
-                             item.client_site))
+            udr, udr.pipeline.execute(item.request, item.client_type,
+                                      item.client_site))
         codes.append(response.result_code.name)
     return codes
 
 
 def run_batched(udr, items):
-    responses = run_to_completion(udr, udr.execute_batch(items))
+    responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
     return [response.result_code.name for response in responses]
 
 
@@ -115,9 +115,9 @@ def run_dispatched(udr, items, spacing=0.002):
     def arrivals():
         for item in items:
             yield udr.sim.timeout(spacing)
-            tickets.append(udr.submit(item.request, item.client_type,
-                                      item.client_site,
-                                      priority=item.priority))
+            tickets.append(udr.dispatcher.submit(
+                item.request, item.client_type, item.client_site,
+                priority=item.priority))
 
     run_to_completion(udr, arrivals())
 
@@ -313,13 +313,13 @@ class TestBatchSequentialEquivalence:
         site = udr.topology.sites[0]
         unknown_dn = SubscriberSchema.subscriber_dn("999999999999999")
         # Identify the serving PoA by warming with a known read first.
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             SearchRequest(dn=SubscriberSchema.subscriber_dn(
                 profiles[0].identities.imsi)),
             ClientType.APPLICATION_FE, site))
         poa = next(p for p in udr.points_of_access if p.site == site)
         lookups_before = poa.locator.stats.lookups
-        responses = run_to_completion(udr, udr.execute_batch([
+        responses = run_to_completion(udr, udr.pipeline.execute_batch([
             BatchItem(SearchRequest(dn=unknown_dn),
                       ClientType.APPLICATION_FE, site),
             BatchItem(SearchRequest(dn=unknown_dn),
@@ -341,7 +341,7 @@ class TestBatchSequentialEquivalence:
                 known.identities.imsi)), ClientType.APPLICATION_FE,
                 fe_site_for(udr, known)),
         ]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert responses[0].result_code.name == "NO_SUCH_OBJECT"
         assert responses[0].request is items[0].request
         assert responses[1].result_code.name == "SUCCESS"
@@ -488,9 +488,9 @@ class TestMuxEquivalence:
         site = fe_site_for(udr, profile)
         old_master = udr.deployment.authoritative_lookup(
             "imsi", profile.identities.imsi)
-        replica_set = udr._replica_set_of_element(old_master)
+        replica_set = udr.deployment.replica_set_of_element(old_master)
         for index in range(4):
-            run_to_completion(udr, udr.execute(
+            run_to_completion(udr, udr.pipeline.execute(
                 ModifyRequest(dn=dn, changes={"servingMsc": f"pre-{index}"}),
                 ClientType.APPLICATION_FE, site))
         udr.sim.run_for(0.2)  # drain: every copy holds pre-3
@@ -499,7 +499,7 @@ class TestMuxEquivalence:
         assert replica_set.master_element_name != old_master
         assert promotions
         for index in range(4):
-            response = run_to_completion(udr, udr.execute(
+            response = run_to_completion(udr, udr.pipeline.execute(
                 ModifyRequest(dn=dn, changes={"servingMsc": f"post-{index}"}),
                 ClientType.APPLICATION_FE, site))
             assert response.ok
@@ -592,7 +592,7 @@ class TestBatchMetricsContract:
                                   subscribers=SUBSCRIBERS)
         profile = profiles[0]
         site = fe_site_for(udr, profile)
-        responses = run_to_completion(udr, udr.execute_batch([
+        responses = run_to_completion(udr, udr.pipeline.execute_batch([
             BatchItem(SearchRequest(dn=SubscriberSchema.subscriber_dn(
                 profile.identities.imsi)), ClientType.APPLICATION_FE,
                 site)]))
@@ -602,7 +602,7 @@ class TestBatchMetricsContract:
         # A wave that cannot reach any PoA admits nothing.
         for poa in udr.points_of_access:
             poa.fail()
-        responses = run_to_completion(udr, udr.execute_batch([
+        responses = run_to_completion(udr, udr.pipeline.execute_batch([
             BatchItem(SearchRequest(dn=SubscriberSchema.subscriber_dn(
                 profile.identities.imsi)), ClientType.APPLICATION_FE,
                 site)]))

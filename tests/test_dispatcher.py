@@ -60,8 +60,8 @@ class TestWaveFormation:
         out, not a tick earlier or later."""
         udr, profiles = dispatcher_udr()
         site = fe_site_for(udr, profiles[0])
-        ticket = udr.submit(read_for(udr, profiles[0]),
-                            ClientType.APPLICATION_FE, site)
+        ticket = udr.dispatcher.submit(read_for(udr, profiles[0]),
+                                       ClientType.APPLICATION_FE, site)
         wait_all(udr, [ticket])
         assert ticket.event.value.result_code.name == "SUCCESS"
         # The wave left the queue exactly at the deadline: the recorded
@@ -81,8 +81,8 @@ class TestWaveFormation:
         budget out."""
         udr, profiles = dispatcher_udr(batch_max_size=4)
         site = udr.topology.sites[0]
-        tickets = [udr.submit(read_for(udr, profile),
-                              ClientType.APPLICATION_FE, site)
+        tickets = [udr.dispatcher.submit(read_for(udr, profile),
+                                         ClientType.APPLICATION_FE, site)
                    for profile in profiles[:4]]
         wait_all(udr, tickets)
         assert udr.metrics.counter("dispatcher.waves_full") == 1
@@ -98,11 +98,11 @@ class TestWaveFormation:
         tickets = []
 
         def arrivals():
-            tickets.append(udr.submit(read_for(udr, profiles[0]),
-                                      ClientType.APPLICATION_FE, site))
+            tickets.append(udr.dispatcher.submit(
+                read_for(udr, profiles[0]), ClientType.APPLICATION_FE, site))
             yield udr.sim.timeout(LINGER_BUDGET / 2)
-            tickets.append(udr.submit(read_for(udr, profiles[1]),
-                                      ClientType.APPLICATION_FE, site))
+            tickets.append(udr.dispatcher.submit(
+                read_for(udr, profiles[1]), ClientType.APPLICATION_FE, site))
 
         run_to_completion(udr, arrivals())
         wait_all(udr, tickets)
@@ -123,11 +123,11 @@ class TestWaveFormation:
         tickets = []
 
         def arrivals():
-            tickets.append(udr.submit(read_for(udr, profiles[0]),
-                                      ClientType.APPLICATION_FE, site))
+            tickets.append(udr.dispatcher.submit(
+                read_for(udr, profiles[0]), ClientType.APPLICATION_FE, site))
             yield udr.sim.timeout(LINGER_BUDGET * 3)
-            tickets.append(udr.submit(read_for(udr, profiles[1]),
-                                      ClientType.APPLICATION_FE, site))
+            tickets.append(udr.dispatcher.submit(
+                read_for(udr, profiles[1]), ClientType.APPLICATION_FE, site))
 
         run_to_completion(udr, arrivals())
         wait_all(udr, tickets)
@@ -143,8 +143,8 @@ class TestWaveFormation:
 
         def arrivals():
             for profile in profiles[:3]:
-                tickets.append(udr.submit(read_for(udr, profile),
-                                          ClientType.APPLICATION_FE, site))
+                tickets.append(udr.dispatcher.submit(
+                    read_for(udr, profile), ClientType.APPLICATION_FE, site))
                 done = udr.sim.event("spacer")
                 tickets[-1].event.add_callback(lambda _e: done.succeed())
                 yield done
@@ -160,11 +160,12 @@ class TestWaveFormation:
         udr, profiles = dispatcher_udr(batch_max_size=2,
                                        batch_linger_ticks=1000)
         site = udr.topology.sites[0]
-        bulk = [udr.submit(read_for(udr, profile), ClientType.PROVISIONING,
-                           site, priority=Priority.BULK)
+        bulk = [udr.dispatcher.submit(read_for(udr, profile),
+                                      ClientType.PROVISIONING, site,
+                                      priority=Priority.BULK)
                 for profile in profiles[:3]]
-        signalling = udr.submit(read_for(udr, profiles[3]),
-                                ClientType.APPLICATION_FE, site)
+        signalling = udr.dispatcher.submit(read_for(udr, profiles[3]),
+                                           ClientType.APPLICATION_FE, site)
         wait_all(udr, bulk + [signalling])
         # Wave 1 (cut when the queue held 3 bulk + 1 signalling after the
         # max-size trigger) carries the signalling request plus the oldest
@@ -177,8 +178,8 @@ class TestWaveFormation:
         udr, profiles = dispatcher_udr(batch_max_size=2,
                                        batch_linger_ticks=1000)
         site = udr.topology.sites[0]
-        tickets = [udr.submit(read_for(udr, profile),
-                              ClientType.APPLICATION_FE, site)
+        tickets = [udr.dispatcher.submit(read_for(udr, profile),
+                                         ClientType.APPLICATION_FE, site)
                    for profile in profiles[:3]]
         assert udr.metrics.gauge("dispatcher.queue_depth_max") == 3
         wait_all(udr, tickets)
@@ -189,8 +190,8 @@ class TestWaveFormation:
     def test_stop_leaves_unfinished_tickets_pending(self):
         udr, profiles = dispatcher_udr()
         site = udr.topology.sites[0]
-        ticket = udr.submit(read_for(udr, profiles[0]),
-                            ClientType.APPLICATION_FE, site)
+        ticket = udr.dispatcher.submit(read_for(udr, profiles[0]),
+                                       ClientType.APPLICATION_FE, site)
         udr.stop()
         udr.sim.run_for(1.0)
         assert not ticket.done
@@ -200,17 +201,17 @@ class TestWaveFormation:
 class TestDispatchModeRouting:
     def test_call_routes_direct_by_default(self):
         udr, profiles = build_udr()
-        site = fe_site_for(udr, profiles[0])
-        response = run_to_completion(udr, udr.call(
-            read_for(udr, profiles[0]), ClientType.APPLICATION_FE, site))
+        session = udr.attach("fe", fe_site_for(udr, profiles[0])).session()
+        response = run_to_completion(
+            udr, session.call(read_for(udr, profiles[0])))
         assert response.result_code.name == "SUCCESS"
         assert udr.metrics.counter("dispatcher.enqueued") == 0
 
     def test_call_routes_through_dispatcher_when_configured(self):
         udr, profiles = dispatcher_udr()
-        site = fe_site_for(udr, profiles[0])
-        response = run_to_completion(udr, udr.call(
-            read_for(udr, profiles[0]), ClientType.APPLICATION_FE, site))
+        session = udr.attach("fe", fe_site_for(udr, profiles[0])).session()
+        response = run_to_completion(
+            udr, session.call(read_for(udr, profiles[0])))
         assert response.result_code.name == "SUCCESS"
         assert udr.metrics.counter("dispatcher.enqueued") == 1
         assert response.latency >= 0.0
@@ -304,8 +305,8 @@ class TestAdaptiveLinger:
             batch_linger_ticks=50)  # the static budget that would apply
         site = fe_site_for(udr, profiles[0])
         start = udr.sim.now
-        tickets = [udr.submit(read_for(udr, profile),
-                              ClientType.APPLICATION_FE, site)
+        tickets = [udr.dispatcher.submit(read_for(udr, profile),
+                                         ClientType.APPLICATION_FE, site)
                    for profile in profiles[:8]]
         wait_all(udr, tickets)
         assert udr.metrics.counter("dispatcher.waves") == 1
@@ -322,13 +323,12 @@ class TestSharedWaveRespond:
         """N concurrent callers of one front-end process resume from a
         single grouped event per wave instead of N ticket events."""
         udr, profiles = dispatcher_udr()
-        site = fe_site_for(udr, profiles[0])
+        session = udr.attach("fe-shared",
+                             fe_site_for(udr, profiles[0])).session()
         responses = []
 
         def caller(profile):
-            response = yield from udr.call(
-                read_for(udr, profile), ClientType.APPLICATION_FE, site,
-                source="fe-shared")
+            response = yield from session.call(read_for(udr, profile))
             responses.append(response)
 
         processes = [udr.sim.process(caller(profile))
@@ -349,13 +349,12 @@ class TestSharedWaveRespond:
         on the fresh event and still get their own responses."""
         udr, profiles = dispatcher_udr(batch_max_size=2,
                                        batch_linger_ticks=1)
-        site = fe_site_for(udr, profiles[0])
+        session = udr.attach("fe-one",
+                             fe_site_for(udr, profiles[0])).session()
         responses = {}
 
         def caller(name, profile):
-            response = yield from udr.call(
-                read_for(udr, profile), ClientType.APPLICATION_FE, site,
-                source="fe-one")
+            response = yield from session.call(read_for(udr, profile))
             responses[name] = response
 
         def spaced_callers():
@@ -375,11 +374,11 @@ class TestSharedWaveRespond:
     def test_mixed_wave_keeps_per_ticket_events_for_untagged(self):
         udr, profiles = dispatcher_udr()
         site = fe_site_for(udr, profiles[0])
-        plain = udr.submit(read_for(udr, profiles[0]),
-                           ClientType.APPLICATION_FE, site)
-        tagged = udr.submit(read_for(udr, profiles[1]),
-                            ClientType.APPLICATION_FE, site,
-                            source="fe-mixed")
+        plain = udr.dispatcher.submit(read_for(udr, profiles[0]),
+                                      ClientType.APPLICATION_FE, site)
+        tagged = udr.dispatcher.submit(read_for(udr, profiles[1]),
+                                       ClientType.APPLICATION_FE, site,
+                                       source="fe-mixed")
         assert tagged.event is None
         wait_all(udr, [plain])
         udr.sim.run_for(1.0)
@@ -432,7 +431,7 @@ class TestCoalescedWrites:
             changes={"servingMsc": f"msc-{index}"}),
             ClientType.PROVISIONING, site)
             for index, mate in enumerate(mates)]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert all(r.result_code.name == "SUCCESS" for r in responses)
         assert copy.transactions.commits == commits_before + 1, \
             "three writes against one partition must be one transaction"
@@ -465,7 +464,7 @@ class TestCoalescedWrites:
                 changes={"servingMsc": "after"}),
                 ClientType.PROVISIONING, site),
         ]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert [r.result_code.name for r in responses] == \
             ["SUCCESS", "ENTRY_ALREADY_EXISTS", "SUCCESS"]
         assert udr.metrics.counter("batch.coalesced.rollbacks") == 1
@@ -496,7 +495,7 @@ class TestCoalescedWrites:
                       ClientType.PROVISIONING, site),
             BatchItem(SearchRequest(dn=dn), ClientType.PROVISIONING, site),
         ]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert [r.result_code.name for r in responses] == \
             ["SUCCESS", "SUCCESS"]
         assert responses[1].entries[0]["servingMsc"] == "fresh"
@@ -513,7 +512,7 @@ class TestCoalescedWrites:
             dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
             changes={"servingMsc": "x"}), ClientType.PROVISIONING, site)
             for mate in mates]
-        run_to_completion(udr, udr.execute_batch(items))
+        run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert copy.transactions.commits == commits_before + 2
         assert udr.metrics.counter("batch.coalesced.groups") == 0
 
@@ -557,7 +556,7 @@ class TestCoalescedWrites:
             dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
             changes={"servingMsc": "retried"}),
             ClientType.PROVISIONING, site) for mate in mates]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert [r.result_code.name for r in responses] == \
             ["SUCCESS", "SUCCESS"]
         assert udr.metrics.counter("batch.coalesced.aborts") == 1
@@ -582,7 +581,7 @@ class TestCoalescedWrites:
             dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
             changes={"servingMsc": "kept"}),
             ClientType.PROVISIONING, site) for mate in mates]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert [r.result_code.name for r in responses] == \
             ["SUCCESS", "BUSY"]
         element = udr.deployment.authoritative_lookup(
@@ -609,7 +608,7 @@ class TestCoalescedWrites:
                 changes={"servingMsc": "x"}), ClientType.PROVISIONING,
                 site),
         ]
-        responses = run_to_completion(udr, udr.execute_batch(items))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert [r.result_code.name for r in responses] == \
             ["SUCCESS", "BUSY"]
         # The delete was re-driven after the abort: gone from the store
@@ -659,7 +658,8 @@ class TestCoalescedWrites:
                 dn=SubscriberSchema.subscriber_dn(newcomer.identities.imsi),
                 attributes=newcomer.to_record()),
                 ClientType.PROVISIONING, site)]
-            responses = run_to_completion(udr, udr.execute_batch(items))
+            responses = run_to_completion(
+                udr, udr.pipeline.execute_batch(items))
             outcomes[coalesce] = (
                 responses[0].result_code.name,
                 registered_anywhere(udr, newcomer.identities.imsi))
@@ -672,7 +672,7 @@ class TestCoalescedWrites:
         udr, profiles = dispatcher_udr(coalesce_writes=True)
         mates = self.partition_mates(udr, profiles, 2)
         site = udr.topology.sites[0]
-        tickets = [udr.submit(ModifyRequest(
+        tickets = [udr.dispatcher.submit(ModifyRequest(
             dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
             changes={"servingMsc": "wave"}), ClientType.PROVISIONING, site)
             for mate in mates]

@@ -27,6 +27,7 @@ from repro.ldap.operations import ResultCode
 from repro.net import NetworkPartition
 
 from tests.conftest import build_udr, fe_site_for, run_to_completion
+from tests.helpers import run_healed_fault_schedule
 
 HEARTBEAT = 0.1
 LEASE_TICKS = 3
@@ -347,3 +348,31 @@ class TestUnavailabilityBound:
                      if ok and issued >= crash_at]
         assert recovered, "no successful write after the crash"
         assert recovered[0] - crash_at <= BOUND + 0.5
+
+
+class TestCompoundFaultRegression:
+    """Pinned reproducer for an open fencing hole under compound faults.
+
+    Site 0 isolated at t=0.5 s, then the first element at site 1 and at
+    site 2 crashed at t=1.4 s and t=2.3 s, everything healed at t=3.2 s.
+    Under seeds 7 and 11 the invariant checker reports
+    ``unfenced_promotion``: partition 1 is promoted to ``se-sweden-dc1-0``
+    at epoch 2 while the deposed master ``se-germany-dc1-0`` is live and
+    unfenced (seed 3 converges cleanly).  The property in
+    ``test_reconciliation.py`` draws too few examples to hit this case
+    reliably, so it is pinned here.  Once the protocol is fixed the strict
+    xfail turns into an XPASS failure: drop the mark then.
+    """
+
+    INCIDENTS = [("partition", 0), ("crash", 1), ("crash", 2)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 0: unfenced promotion under "
+                              "partition + two crashes")
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_partition_plus_two_crashes_promotes_fenced(self, seed):
+        checker, replicas, locators = run_healed_fault_schedule(
+            self.INCIDENTS, seed)
+        assert replicas, "replicas diverged after heal"
+        assert locators, "locators diverged after heal"
+        assert [violation.kind for violation in checker.violations] == []

@@ -61,7 +61,8 @@ def run_request_matrix(udr, profiles):
     ]
     codes = []
     for label, client, site, request in matrix:
-        response = run_to_completion(udr, udr.execute(request, client, site))
+        response = run_to_completion(
+            udr, udr.pipeline.execute(request, client, site))
         codes.append((label, response.result_code.name))
 
     # Partition the known subscriber's home region away and write from the
@@ -69,12 +70,12 @@ def run_request_matrix(udr, profiles):
     region = udr.topology.region(known.home_region)
     partition = NetworkPartition.splitting_regions(udr.topology, region)
     udr.network.apply_partition(partition)
-    response = run_to_completion(udr, udr.execute(
+    response = run_to_completion(udr, udr.pipeline.execute(
         ModifyRequest(dn=dn(known), changes={"svcBarPremium": True}),
         ClientType.PROVISIONING, remote))
     codes.append(("write from cut-off side", response.result_code.name))
     udr.network.heal_partition(partition)
-    response = run_to_completion(udr, udr.execute(
+    response = run_to_completion(udr, udr.pipeline.execute(
         ModifyRequest(dn=dn(known), changes={"svcBarPremium": True}),
         ClientType.PROVISIONING, remote))
     codes.append(("write after heal", response.result_code.name))
@@ -172,7 +173,7 @@ def run_batch_request_matrix(udr, profiles):
     codes = []
     for batch in (first, second):
         responses = run_to_completion(
-            udr, udr.execute_batch([item for _label, item in batch]))
+            udr, udr.pipeline.execute_batch([item for _label, item in batch]))
         codes.extend((label, response.result_code.name)
                      for (label, _item), response in zip(batch, responses))
 
@@ -182,10 +183,10 @@ def run_batch_request_matrix(udr, profiles):
     cut_off = [BatchItem(ModifyRequest(dn=dn(known),
                                        changes={"svcBarPremium": True}),
                          ps, remote)]
-    responses = run_to_completion(udr, udr.execute_batch(cut_off))
+    responses = run_to_completion(udr, udr.pipeline.execute_batch(cut_off))
     codes.append(("write from cut-off side", responses[0].result_code.name))
     udr.network.heal_partition(partition)
-    responses = run_to_completion(udr, udr.execute_batch(cut_off))
+    responses = run_to_completion(udr, udr.pipeline.execute_batch(cut_off))
     codes.append(("write after heal", responses[0].result_code.name))
     return codes
 
@@ -242,7 +243,7 @@ class TestBatchResultCodeRegression:
             SearchRequest(dn=SubscriberSchema.subscriber_dn(
                 profile.identities.imsi)),
             ClientType.PROVISIONING, fe_site_for(udr, profile))
-        responses = run_to_completion(udr, udr.execute_batch([item]))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch([item]))
         assert responses[0].result_code is ResultCode.UNAVAILABLE
         assert udr.metrics.counter("batch.retries") == policy.max_retries
         assert udr.metrics.counter("batch.retry_exhausted") == 1
@@ -274,11 +275,11 @@ class TestBatchResultCodeRegression:
                 ClientType.PROVISIONING, fe_site_for(udr, profile))
 
         sequential = run_to_completion(
-            seq_udr, seq_udr.execute(delete_item(seq_udr).request,
-                                     ClientType.PROVISIONING,
-                                     fe_site_for(seq_udr, profile)))
+            seq_udr, seq_udr.pipeline.execute(delete_item(seq_udr).request,
+                                              ClientType.PROVISIONING,
+                                              fe_site_for(seq_udr, profile)))
         batched = run_to_completion(
-            bat_udr, bat_udr.execute_batch([delete_item(bat_udr)]))
+            bat_udr, bat_udr.pipeline.execute_batch([delete_item(bat_udr)]))
         assert sequential.result_code is ResultCode.UNAVAILABLE
         assert batched[0].result_code is ResultCode.UNAVAILABLE
         assert bat_udr.metrics.counter("batch.retries") == 0
@@ -296,7 +297,7 @@ class TestBatchResultCodeRegression:
         request = SearchRequest(dn=SubscriberSchema.subscriber_dn(
             profile.identities.imsi))
         # Warm the serving PoA's cache, then crash the master un-failed-over.
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             request, ClientType.APPLICATION_FE, site))
         master = crash_master_of(udr, profile)
         poa = next(p for p in udr.points_of_access if p.site == site)
@@ -311,7 +312,7 @@ class TestBatchResultCodeRegression:
 
         udr.sim.process(fail_over_later())
         item = BatchItem(request, ClientType.PROVISIONING, site)
-        responses = run_to_completion(udr, udr.execute_batch([item]))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch([item]))
         assert responses[0].result_code is ResultCode.SUCCESS
         assert responses[0].attempts == 1, \
             "the response reports the retry the batch pipeline spent"

@@ -36,7 +36,7 @@ class TestLocationCacheFastPath:
         udr, profiles = fresh_udr
         profile = profiles[0]
         site = fe_site_for(udr, profile)
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             search_for(profile), ClientType.APPLICATION_FE, site))
         serving_poa = next(poa for poa in udr.points_of_access
                            if poa.site == site)
@@ -44,7 +44,7 @@ class TestLocationCacheFastPath:
         assert cache is not None
         assert cache.stats.misses == 1
         lookups_before = serving_poa.locator.stats.lookups
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             search_for(profile), ClientType.APPLICATION_FE, site))
         assert cache.stats.hits == 1
         assert serving_poa.locator.stats.lookups == lookups_before, \
@@ -56,7 +56,7 @@ class TestLocationCacheFastPath:
         profile = profiles[0]
         site = fe_site_for(udr, profile)
         for _ in range(2):
-            response = run_to_completion(udr, udr.execute(
+            response = run_to_completion(udr, udr.pipeline.execute(
                 search_for(profile), ClientType.APPLICATION_FE, site))
             assert response.ok
         assert len(udr.location_caches) == 0
@@ -68,7 +68,7 @@ class TestLocationCacheFastPath:
                        if p.home_region == profiles[0].home_region][:2]
         site = fe_site_for(udr, same_region[0])
         for profile in same_region:
-            run_to_completion(udr, udr.execute(
+            run_to_completion(udr, udr.pipeline.execute(
                 search_for(profile), ClientType.APPLICATION_FE, site))
         serving_poa = next(poa for poa in udr.points_of_access
                            if poa.site == site)
@@ -82,7 +82,7 @@ class TestCacheInvalidation:
         profile = profiles[0]
         imsi = profile.identities.imsi
         site = fe_site_for(udr, profile)
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             search_for(profile), ClientType.APPLICATION_FE, site))
         element_name = next(iter(udr.locators.values())).locate("imsi", imsi)
         assert any(cache.get("imsi", imsi) == element_name
@@ -94,7 +94,7 @@ class TestCacheInvalidation:
             assert cache.get("imsi", imsi) is None, \
                 "fail-over dropped the cached location"
         # The next read re-resolves through the locator and still succeeds.
-        response = run_to_completion(udr, udr.execute(
+        response = run_to_completion(udr, udr.pipeline.execute(
             search_for(profile), ClientType.APPLICATION_FE, site))
         assert response.ok
 
@@ -104,10 +104,10 @@ class TestCacheInvalidation:
         imsi = profile.identities.imsi
         # Warm two different PoA caches with the subscriber's location.
         for site in udr.topology.sites[:2]:
-            run_to_completion(udr, udr.execute(
+            run_to_completion(udr, udr.pipeline.execute(
                 search_for(profile), ClientType.APPLICATION_FE, site))
         from repro.ldap import DeleteRequest
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             DeleteRequest(dn=SubscriberSchema.subscriber_dn(imsi)),
             ClientType.PROVISIONING, udr.topology.sites[0]))
         for cache in udr.location_caches.caches.values():
@@ -154,7 +154,7 @@ class TestStagesInIsolation:
         udr, profiles = fresh_udr
         for poa in udr.points_of_access:
             poa.fail()
-        response = run_to_completion(udr, udr.execute(
+        response = run_to_completion(udr, udr.pipeline.execute(
             search_for(profiles[0]), ClientType.APPLICATION_FE,
             udr.topology.sites[0]))
         assert response.result_code is ResultCode.UNAVAILABLE
@@ -181,7 +181,7 @@ class TestBatchedMetrics:
     def test_default_batch_flushes_per_request(self, fresh_udr):
         udr, profiles = fresh_udr
         profile = profiles[0]
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             search_for(profile), ClientType.APPLICATION_FE,
             fe_site_for(udr, profile)))
         outcomes = udr.metrics.outcomes(ClientType.APPLICATION_FE.value)
@@ -192,7 +192,7 @@ class TestBatchedMetrics:
         udr, profiles = build_udr(config=config)
         client = ClientType.APPLICATION_FE
         for profile in profiles[:3]:
-            run_to_completion(udr, udr.execute(
+            run_to_completion(udr, udr.pipeline.execute(
                 search_for(profile), client, fe_site_for(udr, profile)))
         assert udr.metrics.outcomes(client.value).attempted == 0, \
             "records are buffered until the batch threshold"
@@ -206,7 +206,7 @@ class TestBatchedMetrics:
         udr, profiles = build_udr(config=config)
         client = ClientType.APPLICATION_FE
         for profile in profiles[:2]:
-            run_to_completion(udr, udr.execute(
+            run_to_completion(udr, udr.pipeline.execute(
                 search_for(profile), client, fe_site_for(udr, profile)))
         assert udr.metrics.outcomes(client.value).attempted == 2
 
@@ -214,7 +214,7 @@ class TestBatchedMetrics:
         config = UDRConfig(metrics_batch_size=100, seed=7)
         udr, profiles = build_udr(config=config)
         client = ClientType.APPLICATION_FE
-        run_to_completion(udr, udr.execute(
+        run_to_completion(udr, udr.pipeline.execute(
             search_for(profiles[0]), client, fe_site_for(udr, profiles[0])))
         udr.stop()
         assert udr.metrics.outcomes(client.value).attempted == 1

@@ -23,18 +23,11 @@ from hypothesis import strategies as st
 
 from repro.cdc import Reconciler, bucket_of, digest_store
 from repro.cdc.reconcile import slave_copy_missing_versions
-from repro.api.operations import Read, Write
+from repro.api.operations import Read
 from repro.core import ClientType, UDRConfig
-from repro.core.config import CdcPolicy, MembershipPolicy
+from repro.core.config import CdcPolicy
 from repro.directory import UnknownIdentity
-from repro.faults import (
-    FaultInjector,
-    FaultSchedule,
-    InvariantChecker,
-    PartitionIncident,
-    SilentCorruption,
-    SiteDisaster,
-)
+from repro.faults import FaultInjector, FaultSchedule, SilentCorruption
 from repro.net import NetworkPartition
 from repro.storage import RecordStore
 from repro.storage.records import RecordVersion
@@ -47,6 +40,7 @@ from tests.helpers import (
     inject_corruption,
     make_corruption,
     master_write,
+    run_healed_fault_schedule,
 )
 
 
@@ -311,11 +305,6 @@ class TestPostHealConvergence:
     behind.
     """
 
-    START_GRID = (0.5, 1.4, 2.3)
-    INCIDENT_DURATION = 0.6
-    HEAL_AT = 3.2
-    QUIESCE = 2.8
-
     @settings(max_examples=8, deadline=None)
     @given(
         incidents=st.lists(
@@ -327,78 +316,8 @@ class TestPostHealConvergence:
             unique_by=lambda incident: incident[1]),
         seed=st.sampled_from((3, 7, 11)))
     def test_any_healed_fault_schedule_converges(self, incidents, seed):
-        config = UDRConfig(seed=seed, name="post-heal",
-                           membership=MembershipPolicy())
-        udr, profiles = build_udr(config, subscribers=18)
-        sim = udr.sim
-        sessions = [udr.attach(f"fe-{site.name}", site,
-                               client_type=ClientType.APPLICATION_FE)
-                    .session()
-                    for site in udr.topology.sites]
-
-        def traffic():
-            rng = sim.rng("postheal.traffic")
-            index = 0
-            while sim.now < self.HEAL_AT:
-                yield sim.timeout(rng.expovariate(40.0))
-                profile = profiles[index % len(profiles)]
-                operation = (Write(profile.identities.imsi,
-                                   {"servingMsc": f"m-{index}"})
-                             if index % 3 else Read(profile.identities.imsi))
-                sessions[index % len(sessions)].submit(operation)
-                index += 1
-
-        sim.process(traffic(), name="postheal:traffic")
-        checker = InvariantChecker(udr)
-        checker.start()
-
-        schedule = FaultSchedule()
-        crashes = []
-        for start, (kind, site_index) in zip(self.START_GRID, incidents):
-            site = udr.topology.sites[site_index]
-            if kind == "crash":
-                crashes.append((start, min(
-                    name for name, element in udr.elements.items()
-                    if element.site == site)))
-            elif kind == "disaster":
-                schedule.add_disaster(SiteDisaster(
-                    site.name, start=start,
-                    duration=self.INCIDENT_DURATION))
-            else:
-                partition = (NetworkPartition.one_way(site)
-                             if kind == "asym_partition"
-                             else NetworkPartition.isolating(site))
-                schedule.add_partition(PartitionIncident(
-                    partition, start=start,
-                    duration=self.INCIDENT_DURATION))
-        schedule.validate()
-        FaultInjector(udr, schedule).start()
-
-        def crash_later(at, element_name):
-            yield sim.timeout(at - sim.now)
-            if udr.elements[element_name].available:
-                udr.crash_element(element_name)
-
-        for at, element_name in crashes:
-            sim.process(crash_later(at, element_name),
-                        name=f"postheal:crash:{element_name}")
-
-        sim.run(until=self.HEAL_AT)
-        udr.network.clear_partitions()
-        for site in udr.topology.sites:
-            if udr.network.site_failed(site):
-                udr.network.restore_site(site)
-        for poa in udr.points_of_access:
-            if not poa.available:
-                poa.restore()
-        for name, element in sorted(udr.elements.items()):
-            if not element.available:
-                udr.recover_element(name)
-        sim.run(until=self.HEAL_AT + self.QUIESCE)
-
-        checker.stop()
-        replicas, locators = checker.final_check()
-        checker.close()
+        checker, replicas, locators = run_healed_fault_schedule(incidents,
+                                                                seed)
         assert replicas, "replicas diverged after heal"
         assert locators, "locators diverged after heal"
         assert checker.violations == []

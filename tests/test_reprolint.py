@@ -394,7 +394,7 @@ class TestMetricRegistryChecker:
 
 
 # ---------------------------------------------------------------------------
-# API boundary (API001/API002)
+# API boundary (API001)
 # ---------------------------------------------------------------------------
 
 class TestApiBoundaryChecker:
@@ -422,19 +422,6 @@ class TestApiBoundaryChecker:
             "def probe():\n"
             "    return MR(dn='x')\n")
         assert rules_of(findings) == ["API001"]
-
-    def test_legacy_shim_call(self, tmp_path):
-        findings = self.run(tmp_path,
-                            "def drive(udr, request):\n"
-                            "    yield from udr.execute(request)\n")
-        assert rules_of(findings) == ["API002"]
-
-    def test_legacy_shim_through_local_alias(self, tmp_path):
-        findings = self.run(tmp_path,
-                            "def drive(udr, ops):\n"
-                            "    facade = udr\n"
-                            "    return facade.execute_batch(ops)\n")
-        assert rules_of(findings) == ["API002"]
 
     def test_examples_tree_is_policed_too(self, tmp_path):
         findings = self.run(
@@ -771,7 +758,7 @@ class TestCliAcceptance:
         result = run_cli("--list-rules")
         assert result.returncode == 0
         for rule in ("DET001", "DET002", "DET003", "LAY001", "MET001",
-                     "API001", "API002", "EXC001", "EXC002"):
+                     "API001", "EXC001", "EXC002"):
             assert rule in result.stdout
         assert set(rule_catalogue()) >= {
             "DET001", "LAY001", "MET001", "API001", "EXC001"}

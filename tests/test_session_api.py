@@ -1,18 +1,17 @@
 """The session API's contracts.
 
-Three suites pin down PR 5's front-door redesign:
+Two suites pin down the session front door:
 
 * **equivalence** -- sessioned traffic (``Session.call`` / ``submit`` /
   ``submit_many``) with *no* QoS overrides produces the same result codes
-  and the same final store state as the legacy
-  ``execute``/``submit``/``execute_batch`` entry points on seeded traces,
-  across both dispatch modes;
+  and the same final store state as the core calls a session wraps
+  (``udr.pipeline.execute``, ``udr.dispatcher.submit``,
+  ``udr.pipeline.execute_batch``) on seeded traces, across both dispatch
+  modes;
 * **deadline matrix** -- ``QoSProfile.deadline_ticks`` short-circuits
   expired work with ``TIME_LIMIT_EXCEEDED`` on every path (direct,
   dispatcher queue, batch fan-out, retry backoff) without consuming
-  pipeline hops, while generous deadlines change nothing;
-* **deprecation shims** -- the legacy entry points keep working, delegate
-  to the same machinery, and count ``api.legacy_calls``.
+  pipeline hops, while generous deadlines change nothing.
 """
 
 import random
@@ -174,13 +173,14 @@ class TestOperationEncoding:
 # ---------------------------------------------------------- equivalence
 
 class TestSessionEquivalence:
-    def _legacy_direct(self, seed):
+    def _core_direct(self, seed):
         udr, profiles = build_udr(subscribers=SUBSCRIBERS, seed=seed)
         codes = []
         for operation, client_type, site in seeded_operations(
                 udr, profiles, seed):
             response = run_to_completion(
-                udr, udr.execute(operation.to_request(), client_type, site))
+                udr, udr.pipeline.execute(operation.to_request(),
+                                          client_type, site))
             codes.append(response.result_code.name)
         return codes, store_state(udr)
 
@@ -196,11 +196,11 @@ class TestSessionEquivalence:
         return codes, store_state(udr)
 
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_direct_call_matches_legacy_execute(self, seed):
-        legacy_codes, legacy_state = self._legacy_direct(seed)
+    def test_direct_call_matches_pipeline_execute(self, seed):
+        core_codes, core_state = self._core_direct(seed)
         session_codes, session_state = self._session_direct(seed)
-        assert session_codes == legacy_codes
-        assert session_state == legacy_state
+        assert session_codes == core_codes
+        assert session_state == core_state
         assert "SUCCESS" in session_codes
 
     def _dispatcher_config(self, seed):
@@ -216,22 +216,22 @@ class TestSessionEquivalence:
         run_to_completion(udr, arrivals())
 
     @pytest.mark.parametrize("seed", [5])
-    def test_dispatcher_submit_matches_legacy_submit(self, seed):
-        legacy_udr, legacy_profiles = build_udr(
+    def test_session_submit_matches_dispatcher_submit(self, seed):
+        core_udr, core_profiles = build_udr(
             self._dispatcher_config(seed), subscribers=SUBSCRIBERS, seed=seed)
-        triples = seeded_operations(legacy_udr, legacy_profiles, seed)
+        triples = seeded_operations(core_udr, core_profiles, seed)
         tickets = []
         self._run_dispatched(
-            legacy_udr, triples,
-            lambda op, client_type, site: legacy_udr.submit(
+            core_udr, triples,
+            lambda op, client_type, site: core_udr.dispatcher.submit(
                 op.to_request(), client_type, site), tickets)
 
         def wait_tickets():
-            yield legacy_udr.sim.all_of([t.event for t in tickets])
+            yield core_udr.sim.all_of([t.event for t in tickets])
 
-        run_to_completion(legacy_udr, wait_tickets())
-        legacy_codes = [t.event.value.result_code.name for t in tickets]
-        legacy_state = store_state(legacy_udr)
+        run_to_completion(core_udr, wait_tickets())
+        core_codes = [t.event.value.result_code.name for t in tickets]
+        core_state = store_state(core_udr)
 
         session_udr, session_profiles = build_udr(
             self._dispatcher_config(seed), subscribers=SUBSCRIBERS, seed=seed)
@@ -249,25 +249,25 @@ class TestSessionEquivalence:
 
         run_to_completion(session_udr, drain())
         session_codes = [f.result().result_code.name for f in futures]
-        assert session_codes == legacy_codes
-        assert store_state(session_udr) == legacy_state
+        assert session_codes == core_codes
+        assert store_state(session_udr) == core_state
 
     @pytest.mark.parametrize("seed", [11])
-    def test_batch_matches_legacy_execute_batch(self, seed):
-        # Single-client batches (one PS at one site), so the legacy
+    def test_batch_matches_pipeline_execute_batch(self, seed):
+        # Single-client batches (one PS at one site), so the core
         # BatchItem list and the session's submit_many describe the same
         # admission problem.
-        legacy_udr, profiles = build_udr(subscribers=SUBSCRIBERS, seed=seed)
+        core_udr, profiles = build_udr(subscribers=SUBSCRIBERS, seed=seed)
         operations = [Write(profile.identities.imsi,
                             {"svcBarPremium": bool(index % 2)})
                       for index, profile in enumerate(profiles[:16])]
-        ps_site = legacy_udr.topology.sites[0]
+        ps_site = core_udr.topology.sites[0]
         items = [BatchItem(operation.to_request(), ClientType.PROVISIONING,
                            ps_site) for operation in operations]
-        responses = run_to_completion(legacy_udr,
-                                      legacy_udr.execute_batch(items))
-        legacy_codes = [r.result_code.name for r in responses]
-        legacy_state = store_state(legacy_udr)
+        responses = run_to_completion(core_udr,
+                                      core_udr.pipeline.execute_batch(items))
+        core_codes = [r.result_code.name for r in responses]
+        core_state = store_state(core_udr)
 
         session_udr, _ = build_udr(subscribers=SUBSCRIBERS, seed=seed)
         client = session_udr.attach("ps", session_udr.topology.sites[0],
@@ -275,8 +275,22 @@ class TestSessionEquivalence:
         with client.session() as session:
             batch_responses = run_to_completion(
                 session_udr, session.execute_batch(operations))
-        assert [r.result_code.name for r in batch_responses] == legacy_codes
-        assert store_state(session_udr) == legacy_state
+        assert [r.result_code.name for r in batch_responses] == core_codes
+        assert store_state(session_udr) == core_state
+
+    def test_pipeline_round_trip_matches_session(self):
+        """One operation through the pipeline and through a session: same
+        code, same entry payload."""
+        udr, profiles = build_udr(subscribers=8)
+        operation = Read(profiles[0].identities.imsi)
+        site = udr.topology.sites[0]
+        core = run_to_completion(
+            udr, udr.pipeline.execute(operation.to_request(),
+                                      ClientType.APPLICATION_FE, site))
+        session = run_to_completion(
+            udr, udr.attach("fe", site).session().call(operation))
+        assert core.result_code is session.result_code
+        assert core.entry.get("imsi") == session.entry.get("imsi")
 
 
 # ------------------------------------------------------- deadline matrix
@@ -299,9 +313,9 @@ class TestDeadlineMatrix:
         udr, profiles = build_udr(subscribers=8)
         operation = Read(profiles[0].identities.imsi)
         baseline = run_to_completion(
-            udr, udr.execute(operation.to_request(),
-                             ClientType.APPLICATION_FE,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(operation.to_request(),
+                                      ClientType.APPLICATION_FE,
+                                      udr.topology.sites[0]))
         client = udr.attach("fe", udr.topology.sites[0],
                             qos=QoSProfile(deadline_ticks=60_000))
         response = run_to_completion(udr, client.session().call(operation))
@@ -367,7 +381,7 @@ class TestDeadlineMatrix:
     def test_retry_policy_override_applies_to_single_operations(self):
         """Without a deadline the same session retries the transient
         failure -- per-session QoS brings retries to the sequential path,
-        which the legacy execute never had."""
+        which a plain ``pipeline.execute`` call does not take."""
         policy = RetryPolicy(max_retries=2, backoff_tick=0.01)
         udr, profiles = build_udr(subscribers=8)
         profile = profiles[0]
@@ -376,59 +390,18 @@ class TestDeadlineMatrix:
         replica_set = udr.deployment.replica_set_of_element(element)
         for member in replica_set.member_names:
             udr.crash_element(member)
-        legacy = run_to_completion(
-            udr, udr.execute(Read(profile.identities.imsi).to_request(),
-                             ClientType.APPLICATION_FE,
-                             udr.topology.sites[0]))
-        assert legacy.result_code is ResultCode.UNAVAILABLE
-        assert legacy.attempts == 0
+        plain = run_to_completion(
+            udr, udr.pipeline.execute(
+                Read(profile.identities.imsi).to_request(),
+                ClientType.APPLICATION_FE, udr.topology.sites[0]))
+        assert plain.result_code is ResultCode.UNAVAILABLE
+        assert plain.attempts == 0
         client = udr.attach("fe", udr.topology.sites[0],
                             qos=QoSProfile(retry_policy=policy))
         response = run_to_completion(
             udr, client.session().call(Read(profile.identities.imsi)))
         assert response.result_code is ResultCode.UNAVAILABLE
         assert response.attempts == policy.max_retries
-
-
-# ------------------------------------------------------------------ shims
-
-class TestDeprecationShims:
-    def test_legacy_entry_points_are_counted(self):
-        udr, profiles = build_udr(subscribers=8)
-        request = Read(profiles[0].identities.imsi).to_request()
-        site = udr.topology.sites[0]
-        run_to_completion(udr, udr.execute(request,
-                                           ClientType.APPLICATION_FE, site))
-        run_to_completion(udr, udr.call(request,
-                                        ClientType.APPLICATION_FE, site))
-        run_to_completion(udr, udr.execute_batch(
-            [request], client_type=ClientType.APPLICATION_FE,
-            client_site=site))
-        assert udr.metrics.counter("api.legacy_calls") == 3
-        assert udr.metrics.counter("api.legacy_calls.execute") == 1
-        assert udr.metrics.counter("api.legacy_calls.call") == 1
-        assert udr.metrics.counter("api.legacy_calls.execute_batch") == 1
-
-    def test_sessions_do_not_count_as_legacy(self):
-        udr, profiles = build_udr(subscribers=8)
-        client = udr.attach("fe", udr.topology.sites[0])
-        run_to_completion(
-            udr, client.session().call(Read(profiles[0].identities.imsi)))
-        assert udr.metrics.counter("api.legacy_calls") == 0
-
-    def test_shim_round_trip_matches_session(self):
-        """One operation through the shim and through a session: same code,
-        same entry payload."""
-        udr, profiles = build_udr(subscribers=8)
-        operation = Read(profiles[0].identities.imsi)
-        site = udr.topology.sites[0]
-        shim = run_to_completion(
-            udr, udr.execute(operation.to_request(),
-                             ClientType.APPLICATION_FE, site))
-        session = run_to_completion(
-            udr, udr.attach("fe", site).session().call(operation))
-        assert shim.result_code is session.result_code
-        assert shim.entry.get("imsi") == session.entry.get("imsi")
 
 
 # --------------------------------------------------- per-client metrics

@@ -77,8 +77,9 @@ class TestReads:
         udr, profiles = fresh_udr
         profile = profiles[0]
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
         assert response.entry["imsi"] == profile.identities.imsi
         assert response.latency > 0
@@ -90,8 +91,8 @@ class TestReads:
             dn=SubscriberSchema.BASE_DN,
             filter_text=f"(msisdn={profile.identities.msisdn})")
         response = run_to_completion(
-            udr, udr.execute(request, ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(request, ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
         assert response.entry["imsi"] == profile.identities.imsi
 
@@ -102,8 +103,8 @@ class TestReads:
             dn=SubscriberSchema.subscriber_dn(profile.identities.imsi),
             attributes=("authKey",))
         response = run_to_completion(
-            udr, udr.execute(request, ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(request, ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert set(response.entry) == {"authKey", "dn"}
 
     def test_unknown_subscriber_is_no_such_object(self, fresh_udr):
@@ -111,8 +112,8 @@ class TestReads:
         request = SearchRequest(
             dn=SubscriberSchema.subscriber_dn("999999999999999"))
         response = run_to_completion(
-            udr, udr.execute(request, ClientType.APPLICATION_FE,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(request, ClientType.APPLICATION_FE,
+                                      udr.topology.sites[0]))
         assert response.result_code is ResultCode.NO_SUCH_OBJECT
 
     def test_local_read_meets_ten_millisecond_target(self, fresh_udr):
@@ -122,8 +123,8 @@ class TestReads:
         site = fe_site_for(udr, profile)
         for _ in range(5):
             run_to_completion(
-                udr, udr.execute(search_for(profile),
-                                 ClientType.APPLICATION_FE, site))
+                udr, udr.pipeline.execute(search_for(profile),
+                                          ClientType.APPLICATION_FE, site))
         recorder = udr.metrics.latency(ClientType.APPLICATION_FE.value)
         assert recorder.mean() < 0.020, \
             "reads served in the subscriber's home region stay fast"
@@ -136,18 +137,21 @@ class TestReads:
         other_site = next(site for site in udr.topology.sites
                           if site.region.name != profile.home_region)
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             other_site))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      other_site))
         assert response.ok
 
     def test_provisioning_reads_only_master(self, fresh_udr):
         udr, profiles = fresh_udr
         profile = profiles[0]
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.PROVISIONING,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.PROVISIONING,
+                                      udr.topology.sites[0]))
         assert response.ok
-        replica_set = udr._replica_set_of_element(response.served_from)
+        replica_set = udr.deployment.replica_set_of_element(
+            response.served_from)
         assert response.served_from == replica_set.master_element_name
 
 
@@ -156,9 +160,9 @@ class TestWrites:
         udr, profiles = fresh_udr
         profile = profiles[0]
         response = run_to_completion(
-            udr, udr.execute(modify_for(profile, servingMsc="msc-42"),
-                             ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(modify_for(profile, servingMsc="msc-42"),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
         record = udr.subscriber_record(profile.identities.imsi)
         assert record["servingMsc"] == "msc-42"
@@ -172,11 +176,11 @@ class TestWrites:
             attributes=new_profile.to_record())
         site = udr.topology.sites[0]
         response = run_to_completion(
-            udr, udr.execute(add, ClientType.PROVISIONING, site))
+            udr, udr.pipeline.execute(add, ClientType.PROVISIONING, site))
         assert response.ok
         read = run_to_completion(
-            udr, udr.execute(search_for(new_profile),
-                             ClientType.APPLICATION_FE, site))
+            udr, udr.pipeline.execute(search_for(new_profile),
+                                      ClientType.APPLICATION_FE, site))
         assert read.ok
 
     def test_duplicate_add_rejected(self, fresh_udr):
@@ -186,8 +190,8 @@ class TestWrites:
             dn=SubscriberSchema.subscriber_dn(profile.identities.imsi),
             attributes=profile.to_record())
         response = run_to_completion(
-            udr, udr.execute(add, ClientType.PROVISIONING,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(add, ClientType.PROVISIONING,
+                                      udr.topology.sites[0]))
         assert response.result_code is ResultCode.ENTRY_ALREADY_EXISTS
 
     def test_delete_removes_record_and_location(self, fresh_udr):
@@ -196,12 +200,13 @@ class TestWrites:
         delete = DeleteRequest(
             dn=SubscriberSchema.subscriber_dn(profile.identities.imsi))
         response = run_to_completion(
-            udr, udr.execute(delete, ClientType.PROVISIONING,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(delete, ClientType.PROVISIONING,
+                                      udr.topology.sites[0]))
         assert response.ok
         read = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert read.result_code is ResultCode.NO_SUCH_OBJECT
 
     def test_modify_unknown_subscriber_fails(self, fresh_udr):
@@ -210,21 +215,21 @@ class TestWrites:
             dn=SubscriberSchema.subscriber_dn("999999999999999"),
             changes={"servingMsc": "x"})
         response = run_to_completion(
-            udr, udr.execute(request, ClientType.PROVISIONING,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(request, ClientType.PROVISIONING,
+                                      udr.topology.sites[0]))
         assert response.result_code is ResultCode.NO_SUCH_OBJECT
 
     def test_writes_replicate_asynchronously_to_slaves(self, fresh_udr):
         udr, profiles = fresh_udr
         profile = profiles[0]
         run_to_completion(
-            udr, udr.execute(modify_for(profile, servingMsc="msc-repl"),
-                             ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(
+                modify_for(profile, servingMsc="msc-repl"),
+                ClientType.APPLICATION_FE, fe_site_for(udr, profile)))
         udr.sim.run_for(2.0)  # let the replication channels catch up
         locator = next(iter(udr.locators.values()))
         element_name = locator.locate("imsi", profile.identities.imsi)
-        replica_set = udr._replica_set_of_element(element_name)
+        replica_set = udr.deployment.replica_set_of_element(element_name)
         key = profile.key
         for slave in replica_set.slave_names():
             value = replica_set.copy_on(slave).store.get(key)
@@ -249,9 +254,9 @@ class TestPartitionBehaviour:
         profile = profiles[0]
         self.isolate_master_region(udr, profile)
         response = run_to_completion(
-            udr, udr.execute(modify_for(profile, svcBarPremium=True),
-                             ClientType.PROVISIONING,
-                             self.other_region_site(udr, profile)))
+            udr, udr.pipeline.execute(modify_for(profile, svcBarPremium=True),
+                                      ClientType.PROVISIONING,
+                                      self.other_region_site(udr, profile)))
         assert response.result_code is ResultCode.UNAVAILABLE
 
     def test_read_from_wrong_side_served_by_slave(self, fresh_udr):
@@ -259,15 +264,16 @@ class TestPartitionBehaviour:
         profile = profiles[0]
         self.isolate_master_region(udr, profile)
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             self.other_region_site(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      self.other_region_site(udr, profile)))
         # With replication factor 2 the slave copy may or may not be on the
         # reachable side; when it is, the FE read succeeds despite the
         # partition.  Assert the dichotomy the paper describes.
         if response.ok:
             locator = next(iter(udr.locators.values()))
             owner = locator.locate("imsi", profile.identities.imsi)
-            replica_set = udr._replica_set_of_element(owner)
+            replica_set = udr.deployment.replica_set_of_element(owner)
             assert response.served_from != replica_set.master_element_name, \
                 "the read was served by a slave copy, not the cut-off master"
         else:
@@ -280,13 +286,13 @@ class TestPartitionBehaviour:
         profile = profiles[0]
         self.isolate_master_region(udr, profile)
         response = run_to_completion(
-            udr, udr.execute(modify_for(profile, svcBarPremium=True),
-                             ClientType.PROVISIONING,
-                             self.other_region_site(udr, profile)))
+            udr, udr.pipeline.execute(modify_for(profile, svcBarPremium=True),
+                                      ClientType.PROVISIONING,
+                                      self.other_region_site(udr, profile)))
         # Succeeds whenever any copy is reachable on the client's side.
         if response.ok:
             coordinator = udr.coordinators[
-                udr._primary_partition_of_element[
+                udr.deployment.primary_partition_of_element[
                     next(iter(udr.locators.values())).locate(
                         "imsi", profile.identities.imsi)]]
             assert coordinator.stats.degraded_writes >= 0
@@ -299,9 +305,9 @@ class TestPartitionBehaviour:
         partition = self.isolate_master_region(udr, profile)
         udr.network.heal_partition(partition)
         response = run_to_completion(
-            udr, udr.execute(modify_for(profile, svcBarPremium=True),
-                             ClientType.PROVISIONING,
-                             self.other_region_site(udr, profile)))
+            udr, udr.pipeline.execute(modify_for(profile, svcBarPremium=True),
+                                      ClientType.PROVISIONING,
+                                      self.other_region_site(udr, profile)))
         assert response.ok
 
 
@@ -315,8 +321,9 @@ class TestElementFailures:
         promotions = udr.fail_over(element_name)
         assert promotions, "a slave copy was promoted"
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
 
     def test_write_fails_when_master_down_without_failover(self, fresh_udr):
@@ -326,9 +333,9 @@ class TestElementFailures:
         element_name = locator.locate("imsi", profile.identities.imsi)
         udr.crash_element(element_name)
         response = run_to_completion(
-            udr, udr.execute(modify_for(profile, svcBarPremium=True),
-                             ClientType.PROVISIONING,
-                             udr.topology.sites[0]))
+            udr, udr.pipeline.execute(modify_for(profile, svcBarPremium=True),
+                                      ClientType.PROVISIONING,
+                                      udr.topology.sites[0]))
         assert response.result_code is ResultCode.UNAVAILABLE
 
     def test_recovered_element_serves_again(self, fresh_udr):
@@ -339,8 +346,9 @@ class TestElementFailures:
         udr.crash_element(element_name)
         udr.recover_element(element_name)
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
 
 
@@ -350,8 +358,9 @@ class TestAlternativeLocationModes:
         udr, profiles = build_udr(config=config, subscribers=20)
         profile = profiles[0]
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
 
     def test_consistent_hash_mode_serves_reads(self):
@@ -359,8 +368,9 @@ class TestAlternativeLocationModes:
         udr, profiles = build_udr(config=config, subscribers=20)
         profile = profiles[0]
         response = run_to_completion(
-            udr, udr.execute(search_for(profile), ClientType.APPLICATION_FE,
-                             fe_site_for(udr, profile)))
+            udr, udr.pipeline.execute(search_for(profile),
+                                      ClientType.APPLICATION_FE,
+                                      fe_site_for(udr, profile)))
         assert response.ok
 
     def test_quorum_mode_write_pays_latency(self):
@@ -375,9 +385,9 @@ class TestAlternativeLocationModes:
                 "quorum": (quorum_udr, quorum_profiles)}.items():
             profile = profiles[0]
             responses[label] = run_to_completion(
-                udr, udr.execute(modify_for(profile, svcBarPremium=True),
-                                 ClientType.PROVISIONING,
-                                 fe_site_for(udr, profile)))
+                udr, udr.pipeline.execute(
+                    modify_for(profile, svcBarPremium=True),
+                    ClientType.PROVISIONING, fe_site_for(udr, profile)))
             assert responses[label].ok
         assert responses["quorum"].latency > responses["async"].latency
 
