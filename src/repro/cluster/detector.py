@@ -492,6 +492,14 @@ class MembershipPlane:
         if len(votes) < self.quorum:
             self.stats.aborted_promotions += 1
             return
+        # The suspicion was read before the vote yielded.  If the suspect
+        # is back in service with quorum contact, its lease state reset on
+        # recovery and it is a live, unfenced master: deposing it now would
+        # leave two writable masters for its partitions.
+        if self._in_service(element_name) and self._quorum_contact(
+                self.deployment.elements[element_name].site):
+            self.stats.aborted_promotions += 1
+            return
         # Promote only copies on the quorum side: a candidate without
         # quorum contact would self-fence immediately.
         candidates = [

@@ -46,7 +46,11 @@ from repro.replication.replica_set import ReplicaSet
 from repro.replication.synchronous import DualInSequenceReplicator
 from repro.storage.checkpoint import CheckpointPolicy
 from repro.storage.partitioning import PartitionScheme
-from repro.storage.storage_element import ReplicaRole, StorageElement
+from repro.storage.storage_element import (
+    PartitionCopy,
+    ReplicaRole,
+    StorageElement,
+)
 from repro.core.config import LocationMode, PlacementMode, UDRConfig
 
 #: Record attribute consulted for each identity namespace.
@@ -58,6 +62,24 @@ IDENTITY_RECORD_ATTRIBUTE = {
 }
 
 
+def find_identity_record(copy: PartitionCopy, identity_type: str,
+                         value: str) -> Optional[dict]:
+    """The record on one partition copy that holds an identity, if any.
+
+    A scan of the copy's store (``None`` for an unknown identity type):
+    the data-path fallback for non-IMSI reads and, over every primary
+    copy, the cache-miss resolution of :func:`find_identity_location`.
+    """
+    attribute = IDENTITY_RECORD_ATTRIBUTE.get(identity_type)
+    if attribute is None:
+        return None
+    for key in copy.store.keys():
+        record = copy.store.get(key)
+        if isinstance(record, dict) and record.get(attribute) == value:
+            return record
+    return None
+
+
 def find_identity_location(elements: Mapping[str, StorageElement],
                            identity_type: str, value: str) -> Optional[str]:
     """Search every element's primary copies for an identity.
@@ -66,15 +88,10 @@ def find_identity_location(elements: Mapping[str, StorageElement],
     the paper warns about for cache-miss resolution; both the deployment
     handle and the cached locator's authority callback use it.
     """
-    attribute = IDENTITY_RECORD_ATTRIBUTE.get(identity_type)
-    if attribute is None:
-        return None
     for element in elements.values():
         for copy in element.primary_copies:
-            for key in copy.store.keys():
-                record = copy.store.get(key)
-                if isinstance(record, dict) and record.get(attribute) == value:
-                    return element.name
+            if find_identity_record(copy, identity_type, value) is not None:
+                return element.name
     return None
 
 

@@ -1,16 +1,15 @@
 """Pipeline layer: one LDAP request as a sequence of composable stages.
 
-``execute()`` used to be one monolithic generator; it is now an
-:class:`OperationPipeline` walking a fixed sequence of stage objects, each
+:class:`OperationPipeline` walks a fixed sequence of stage objects, each
 owning one of the hops the paper describes:
 
 * :class:`AdmissionStage` -- reach the closest Point of Access;
 * :class:`LdapPlanStage` -- LDAP server time and request translation;
 * :class:`LocateStage` -- resolve the data location, with the per-PoA
   read-through cache fast path (:mod:`repro.core.location_cache`);
-* :class:`ReadPath` / :class:`WritePath` -- the intra-SE transaction against
-  the chosen copy (master, slave when the client's policy allows it, or a
-  fallback master under multi-master);
+* :class:`ReadPath` / :class:`SearchPath` / :class:`WritePath` -- the
+  intra-SE transaction against the chosen copy (master, slave when the
+  client's policy allows it, or a fallback master under multi-master);
 * :class:`ReplicateStage` -- the synchronous replication modes' commit cost;
 * :class:`RespondStage` -- the answer back to the client (lost responses are
   counted in the ``response_lost`` metric).
@@ -20,42 +19,31 @@ raising :class:`OperationFailure`, which the pipeline maps to an LDAP result
 code -- never an exception to the caller, exactly as a directory server
 would answer.
 
-On top of the single-request walk, :meth:`OperationPipeline.execute_batch`
-carries N requests through the front of the pipeline together:
+:meth:`OperationPipeline.execute_batch` (explicit batches) and
+:meth:`OperationPipeline.execute_wave` (one pre-formed wave of the
+:class:`~repro.core.dispatcher.BatchDispatcher`, which really lingered in
+its queue and so pays no linger surcharge) carry N requests together:
 
-* :class:`BatchAdmissionStage` -- weighted priority dequeue
-  (signalling > provisioning > bulk, FIFO within each class), admission
-  waves of at most ``UDRConfig.batch_max_size`` requests, and one shared
-  client-to-PoA transfer per client site;
-* the LDAP server is consulted once per wave (one service-time charge, one
-  translation per request) and :meth:`LocateStage.run_group` resolves each
-  distinct identity exactly once -- one location-cache lookup or locator
-  probe per identity group;
-* the per-request tail (:class:`ReadPath`/:class:`WritePath`) fans back out
-  with per-request :class:`OperationContext`\\ s, wrapped by
-  :class:`RetryStage` -- bounded retries with backoff ticks on transient
-  result codes (``UDRConfig.retry_policy``), re-running data location on
-  retry so a fail-over that invalidated the caches is picked up;
-* one shared PoA-to-client transfer answers the wave
-  (:class:`RespondStage`), and the metric batch is flushed exactly once at
-  batch end.
-
-Two extensions ride on the wave machinery:
-
-* :meth:`OperationPipeline.execute_wave` drives one *pre-formed* wave --
-  the arrival-driven :class:`~repro.core.dispatcher.BatchDispatcher`'s unit
-  of work -- without the fixed linger surcharge an under-filled explicit
-  wave pays (the dispatcher really spent the budget waiting in its queue);
-* with ``UDRConfig.coalesce_writes`` the fan-out commits all of a wave's
-  writes against one partition as a single multi-record intra-SE
+* :class:`BatchAdmissionStage` -- weighted priority dequeue, waves of at
+  most ``UDRConfig.batch_max_size`` requests, one shared client-to-PoA
+  transfer per client site;
+* one LDAP service charge per site group, and :meth:`LocateStage.run_group`
+  resolves each distinct identity once;
+* one fan-out loop (:meth:`OperationPipeline._fan_out`) runs the
+  transactional tail per request in global admission order, wrapped by
+  :class:`RetryStage` (bounded retries with backoff on transient codes,
+  re-locating on retry).  With ``UDRConfig.coalesce_writes`` a wave's
+  writes against one partition instead share one multi-record intra-SE
   transaction (:class:`_CoalescedGroup`): one begin/commit charge per
-  partition per wave, per-record results fanned back out, and a failing
-  record rolled back to its savepoint without disturbing its group-mates.
+  partition per wave, a failing record rolled back to its savepoint.
+  Both write shapes take every write decision from :class:`WritePath`;
+* one shared PoA-to-client transfer answers each site group, and the
+  metric batch is flushed once at the end.
 
 Metric recording is batched: stages record into a
 :class:`~repro.metrics.collector.MetricsBatch` that is flushed every
 ``UDRConfig.metrics_batch_size`` completed requests (default 1, i.e. at the
-end of each request); ``execute_batch`` defers everything to one flush.
+end of each request).
 """
 
 from __future__ import annotations
@@ -83,7 +71,11 @@ from repro.core.config import (
     RetryPolicy,
     UDRConfig,
 )
-from repro.core.deployment import Deployment, IDENTITY_RECORD_ATTRIBUTE
+from repro.core.deployment import (
+    Deployment,
+    IDENTITY_RECORD_ATTRIBUTE,
+    find_identity_record,
+)
 from repro.core.location_cache import LocationCacheGroup, PoALocationCache
 
 #: Virtual duration of one ``UDRConfig.batch_linger_ticks`` tick: how long an
@@ -186,6 +178,15 @@ class PipelineStage:
             raise OperationFailure(ResultCode.UNAVAILABLE, reason) from None
         if ledger is not None:
             ledger.record(poa.site, element.site)
+
+    def reachable_members(self, replica_set: ReplicaSet,
+                          site: Site) -> List[str]:
+        """Members that are up and reachable from ``site`` (the read and
+        the write copy choices pick among them)."""
+        return [name for name in replica_set.member_names
+                if replica_set.element(name).available
+                and self.network.reachable(site,
+                                           replica_set.element(name).site)]
 
 
 class AdmissionStage(PipelineStage):
@@ -414,34 +415,25 @@ class ReadPath(PipelineStage):
             stale=stale, versions_behind=versions_behind)
         entry = dict(record)
         entry["dn"] = str(SubscriberSchema.subscriber_dn(entry.get("imsi", "")))
-        if plan.requested_attributes:
-            wanted = set(plan.requested_attributes) | {"dn"}
-            entry = {name: value for name, value in entry.items()
-                     if name in wanted}
-        ctx.entries = [entry]
+        ctx.entries = [_project(entry, plan.requested_attributes)]
         ctx.served_from = copy_element
 
-    def _imsi_of(self, plan: OperationPlan, replica_set: ReplicaSet,
+    @staticmethod
+    def _imsi_of(plan: OperationPlan, replica_set: ReplicaSet,
                  located_element: str) -> str:
         if plan.identity_type == "imsi":
             return plan.identity_value
         # Non-IMSI identities: find the record through the master copy's
         # attribute values (the LDAP server would use the SE's local index).
-        attribute = IDENTITY_RECORD_ATTRIBUTE.get(plan.identity_type, "")
-        copy = replica_set.copy_on(located_element)
-        for key in copy.store.keys():
-            record = copy.store.get(key)
-            if isinstance(record, dict) and record.get(attribute) == \
-                    plan.identity_value:
-                return record.get("imsi", plan.identity_value)
-        return plan.identity_value
+        record = find_identity_record(replica_set.copy_on(located_element),
+                                      plan.identity_type, plan.identity_value)
+        if record is None:
+            return plan.identity_value
+        return record.get("imsi", plan.identity_value)
 
     def _choose_read_element(self, replica_set: ReplicaSet, poa_site: Site,
                              client_type: ClientType) -> Optional[str]:
-        reachable = [name for name in replica_set.member_names
-                     if replica_set.element(name).available
-                     and self.network.reachable(
-                         poa_site, replica_set.element(name).site)]
+        reachable = self.reachable_members(replica_set, poa_site)
         if not reachable:
             return None
         quarantine = self.pipeline.read_quarantine
@@ -671,14 +663,8 @@ class SearchPath(PipelineStage):
     def _emit(self, ctx: OperationContext,
               matches: List[Tuple[str, str, dict]], exhausted: bool) -> None:
         plan = ctx.plan
-        entries = []
-        for _sort_key, _entry_id, entry in matches:
-            if plan.requested_attributes:
-                wanted = set(plan.requested_attributes) | {"dn"}
-                entry = {name: value for name, value in entry.items()
-                         if name in wanted}
-            entries.append(entry)
-        ctx.entries = entries
+        ctx.entries = [_project(entry, plan.requested_attributes)
+                       for _sort_key, _entry_id, entry in matches]
         ctx.served_from = "dit-index" if (
             self.config.search_index_enabled
             and self.deployment.catalog is not None) else "full-scan"
@@ -704,43 +690,43 @@ def _scope_matches(dn, base_dn, scope) -> bool:
     return dn.is_descendant_of(base_dn)
 
 
+def _project(entry: dict, requested: Sequence[str]) -> dict:
+    """An answer entry cut to the requested attributes (all when none are
+    requested; the ``dn`` is always kept)."""
+    if not requested:
+        return entry
+    wanted = set(requested) | {"dn"}
+    return {name: value for name, value in entry.items() if name in wanted}
+
+
+def _identities_of(attributes: Dict[str, object]) -> Dict[str, str]:
+    """The identities a subscriber record carries, keyed by identity type."""
+    return {identity_type: attributes.get(attribute)
+            for identity_type, attribute in IDENTITY_RECORD_ATTRIBUTE.items()
+            if attributes.get(attribute)}
+
+
 class WritePath(PipelineStage):
-    """Run a write plan against the partition's write copy."""
+    """Run a write plan against the partition's write copy.
+
+    Owns every write decision -- :meth:`place`, :meth:`write_target`,
+    :meth:`apply_plan`, :meth:`register_created`, :meth:`forget` -- for
+    both :meth:`run` and the coalesced wave path
+    (:meth:`OperationPipeline._coalesced_write`).
+    """
 
     def run(self, ctx: OperationContext,
             ledger: Optional[_TransferLedger] = None):
-        plan, poa, located_element = ctx.plan, ctx.poa, ctx.located_element
-        if plan.kind is PlanKind.CREATE and located_element is None:
-            located_element = self.deployment.place_subscriber(
-                _PlacementView(plan.attributes),
-                plan.attributes.get("imsi", ""))
-            ctx.located_element = located_element
-        replica_set = self.deployment.replica_set_of_element(located_element)
-        partition_index = self.deployment.primary_partition_of_element[
-            located_element]
-        coordinator = self.deployment.coordinators[partition_index]
-        reachable = [name for name in replica_set.member_names
-                     if replica_set.element(name).available
-                     and self.network.reachable(
-                         poa.site, replica_set.element(name).site)]
-        try:
-            target_name = coordinator.choose_write_element(
-                reachable, timestamp=self.sim.now)
-        except MasterUnreachable as error:
-            raise OperationFailure(
-                ResultCode.UNAVAILABLE,
-                f"master unreachable ({error.reason})") from None
-        element = self.deployment.elements[target_name]
-        copy = replica_set.copy_on(target_name)
-        yield from self.element_round_trip(poa, element,
-                                           "write copy unreachable",
-                                           ledger=ledger)
+        plan = ctx.plan
+        self.place(ctx)
+        partition_index, target_name, element, copy = \
+            yield from self.write_target(ctx, ledger)
         reads = 1 if plan.kind is PlanKind.UPDATE else 0
         yield self.sim.timeout(element.service_times.transaction_time(
             reads=reads, writes=1,
             synchronous_commit=self.config.synchronous_commit))
 
-        key, record, prior_value = self._apply_write(plan, copy)
+        record, prior_value = self._apply_write(plan, copy)
         ctx.epoch = copy.transactions.epoch
 
         # Synchronous replication modes add their commit-path cost here.
@@ -749,39 +735,80 @@ class WritePath(PipelineStage):
             yield from self.pipeline.replicate.run(partition_index, record)
 
         if plan.kind is PlanKind.CREATE:
-            identities = {itype: plan.attributes.get(attr)
-                          for itype, attr in IDENTITY_RECORD_ATTRIBUTE.items()
-                          if plan.attributes.get(attr)}
-            self.deployment.register_identities(
-                identities, located_element,
-                all_locators=self.config.location_mode is
-                LocationMode.PROVISIONED_MAPS,
-                serving_locator=poa.locator)
-            self.pipeline.warm_cache(poa, identities, located_element)
+            self.register_created(ctx)
         elif plan.kind is PlanKind.DELETE and isinstance(prior_value, dict):
-            deleted_identities = {
-                itype: prior_value.get(attr)
-                for itype, attr in IDENTITY_RECORD_ATTRIBUTE.items()
-                if prior_value.get(attr)}
-            self.deployment.deregister_identities(deleted_identities)
-            # Placement change: the location must not be served from any
-            # PoA's cache any more.
-            self.pipeline.caches.invalidate_identities(deleted_identities)
+            self.forget(_identities_of(prior_value))
 
         ctx.entries = []
         ctx.served_from = target_name
 
+    def place(self, ctx: OperationContext) -> None:
+        """Choose the storage element of a CREATE the locator does not
+        know yet (every other write keeps its located element)."""
+        plan = ctx.plan
+        if plan.kind is PlanKind.CREATE and ctx.located_element is None:
+            ctx.located_element = self.deployment.place_subscriber(
+                _PlacementView(plan.attributes),
+                plan.attributes.get("imsi", ""))
+
+    def write_target(self, ctx: OperationContext,
+                     ledger: Optional[_TransferLedger] = None):
+        """Generator: choose the located partition's write copy and pay the
+        PoA round trip to it; returns ``(partition_index, target_name,
+        element, copy)`` or raises ``UNAVAILABLE``."""
+        deployment = self.deployment
+        partition_index = deployment.primary_partition_of_element[
+            ctx.located_element]
+        replica_set = deployment.replica_sets[partition_index]
+        try:
+            target_name = deployment.coordinators[partition_index] \
+                .choose_write_element(
+                    self.reachable_members(replica_set, ctx.poa.site),
+                    timestamp=self.sim.now)
+        except MasterUnreachable as error:
+            raise OperationFailure(
+                ResultCode.UNAVAILABLE,
+                f"master unreachable ({error.reason})") from None
+        element = deployment.elements[target_name]
+        copy = replica_set.copy_on(target_name)
+        yield from self.element_round_trip(ctx.poa, element,
+                                           "write copy unreachable",
+                                           ledger=ledger)
+        return partition_index, target_name, element, copy
+
+    def register_created(self, ctx: OperationContext) -> Dict[str, str]:
+        """Make a CREATE's identities locatable on its element and warm the
+        serving PoA's cache; returns the identities."""
+        identities = _identities_of(ctx.plan.attributes)
+        poa = ctx.poa
+        self.deployment.register_identities(
+            identities, ctx.located_element,
+            all_locators=self.config.location_mode is
+            LocationMode.PROVISIONED_MAPS,
+            serving_locator=poa.locator)
+        cache = self.pipeline.cache_for(poa)
+        if cache is not None and poa.locator_ready:
+            for identity_type, value in identities.items():
+                cache.store(identity_type, value, ctx.located_element)
+        return identities
+
+    def forget(self, identities: Dict[str, str]) -> None:
+        """Make identities unlocatable: every locator deregisters them and
+        no PoA cache may serve their location any more."""
+        self.deployment.deregister_identities(identities)
+        self.pipeline.caches.invalidate_identities(identities)
+
     def _apply_write(self, plan: OperationPlan, copy):
         """Run the intra-SE transaction for a write plan.
 
-        Returns ``(key, commit_record, prior_value)``; the commit record is
+        Returns ``(commit_record, prior_value)``; the commit record is
         ``None`` for no-op writes and ``prior_value`` is the record that
         existed before a DELETE (used to deregister its identities).  Raises
         :class:`OperationFailure` on business errors.
         """
         transaction = copy.transactions.begin()
         try:
-            key, prior_value = self.apply_plan(transaction, plan, copy)
+            prior_value = self.apply_plan(transaction, plan)
         except WriteConflict:
             # Transaction.write already aborted the transaction.
             raise OperationFailure(ResultCode.BUSY,
@@ -800,9 +827,9 @@ class WritePath(PipelineStage):
             # Fenced between apply and commit: nothing was installed.
             raise OperationFailure(ResultCode.FENCED,
                                    f"write copy fenced: {error}") from None
-        return key, record, prior_value
+        return record, prior_value
 
-    def apply_plan(self, transaction, plan: OperationPlan, copy):
+    def apply_plan(self, transaction, plan: OperationPlan):
         """Apply one write plan inside ``transaction`` (no begin/commit).
 
         The per-record half of the write path, shared by the one-transaction-
@@ -811,45 +838,29 @@ class WritePath(PipelineStage):
         *without* touching the transaction (the caller owns its lifecycle);
         a :class:`WriteConflict` from the no-wait lock grab propagates raw --
         by then ``Transaction.write`` has aborted the whole transaction.
-        Returns ``(key, prior_value)``.
+        Write plans always address their record by IMSI (the LDAP server
+        plans writes from subscriber DNs only).  Returns the record a
+        DELETE removed, else ``None``.
         """
-        key_imsi = plan.identity_value if plan.identity_type == "imsi" else None
-        if plan.kind is PlanKind.CREATE:
-            key = f"sub:{plan.attributes['imsi']}"
-        else:
-            if key_imsi is None:
-                key_imsi = self._imsi_by_attribute(copy, plan)
-                if key_imsi is None:
-                    raise OperationFailure(ResultCode.NO_SUCH_OBJECT,
-                                           "record not found")
-            key = f"sub:{key_imsi}"
-        prior_value = None
+        key = f"sub:{plan.identity_value}"
         if plan.kind is PlanKind.CREATE:
             if transaction.exists(key):
                 raise OperationFailure(ResultCode.ENTRY_ALREADY_EXISTS,
                                        "entry already exists")
             transaction.write(key, dict(plan.attributes))
-        elif plan.kind is PlanKind.UPDATE:
+            return None
+        if plan.kind is PlanKind.UPDATE:
             if not transaction.exists(key):
                 raise OperationFailure(ResultCode.NO_SUCH_OBJECT,
                                        "record not found")
             transaction.modify(key, plan.changes)
-        else:  # DELETE
-            prior_value = transaction.read_or_default(key)
-            if prior_value is None:
-                raise OperationFailure(ResultCode.NO_SUCH_OBJECT,
-                                       "record not found")
-            transaction.delete(key)
-        return key, prior_value
-
-    def _imsi_by_attribute(self, copy, plan: OperationPlan) -> Optional[str]:
-        attribute = IDENTITY_RECORD_ATTRIBUTE.get(plan.identity_type, "")
-        for key in copy.store.keys():
-            record = copy.store.get(key)
-            if isinstance(record, dict) and \
-                    record.get(attribute) == plan.identity_value:
-                return record.get("imsi")
-        return None
+            return None
+        prior_value = transaction.read_or_default(key)  # DELETE
+        if prior_value is None:
+            raise OperationFailure(ResultCode.NO_SUCH_OBJECT,
+                                   "record not found")
+        transaction.delete(key)
+        return prior_value
 
 
 class _CoalescedGroup:
@@ -866,19 +877,19 @@ class _CoalescedGroup:
     __slots__ = ("partition_index", "target_name", "element", "copy",
                  "transaction", "slots", "undos")
 
-    def __init__(self, partition_index: int, target_name: str, element, copy,
-                 transaction):
+    def __init__(self, partition_index: int, target_name: str, element,
+                 copy):
         self.partition_index = partition_index
         self.target_name = target_name
         self.element = element
         self.copy = copy
-        self.transaction = transaction
+        self.transaction = copy.transactions.begin()
         #: Slots whose record was applied (still uncommitted) in this group.
         self.slots: List["_BatchSlot"] = []
         #: Undo callables for the eager identity bookkeeping of applied
         #: CREATE/DELETE records, run (in reverse) when the whole group's
-        #: writes are discarded -- a conflict abort of the shared
-        #: transaction, or a synchronous-replication shortfall at flush.
+        #: writes are discarded -- an abort while applying, a fence at
+        #: flush, or a synchronous-replication shortfall at flush.
         self.undos: List = []
 
 
@@ -906,18 +917,15 @@ class RespondStage(PipelineStage):
     """The answer travels back from the PoA to the client."""
 
     def run(self, ctx: OperationContext):
-        try:
-            yield from self.network.transfer(ctx.poa.site, ctx.client_site)
-        except NetworkError:
-            # The response is lost; the client times out.  The operation's
-            # outcome is still decided by what happened at the UDR, but the
-            # loss itself must stay observable in experiment reports.
-            self.pipeline.batch.increment("response_lost")
+        yield from self.run_group(ctx.poa.site, ctx.client_site, 1)
 
     def run_group(self, poa_site: Site, client_site: Site, answers: int):
-        """One shared transfer carries a wave's ``answers`` back to a site;
-        a loss still counts ``response_lost`` once per answer, matching the
-        per-request accounting of the sequential path."""
+        """One shared transfer carries a wave's ``answers`` back to a site.
+
+        A lost response times the client out: the operation's outcome is
+        still decided by what happened at the UDR, but the loss counts
+        ``response_lost`` once per answer so experiment reports see it.
+        """
         try:
             yield from self.network.transfer(poa_site, client_site)
         except NetworkError:
@@ -1014,20 +1022,6 @@ class BatchAdmissionStage(PipelineStage):
         size = self.config.batch_max_size
         return [list(ordered[start:start + size])
                 for start in range(0, len(ordered), size)]
-
-    def run(self, client_site: Site, slots: List[_BatchSlot]):
-        """Generator: reach the PoA once for a wave's site group.
-
-        Returns the serving :class:`PointOfAccess`; raises
-        :class:`OperationFailure` (``respond=False``) for the whole group
-        when no PoA is reachable -- exactly the sequential admission
-        failure (shared via :meth:`AdmissionStage.reach_poa`), paid once
-        instead of once per request.
-        """
-        poa = yield from self.pipeline.admission.reach_poa(client_site)
-        for slot in slots:
-            slot.ctx.poa = poa
-        return poa
 
 
 class RetryStage(PipelineStage):
@@ -1151,15 +1145,6 @@ class OperationPipeline:
         if not self.config.location_cache_enabled:
             return None
         return self.caches.for_poa(poa)
-
-    def warm_cache(self, poa: PointOfAccess, identities: Dict[str, str],
-                   element_name: str) -> None:
-        """Pre-warm the serving PoA's cache after a CREATE placed data."""
-        cache = self.cache_for(poa)
-        if cache is None or not poa.locator_ready:
-            return
-        for identity_type, value in identities.items():
-            cache.store(identity_type, value, element_name)
 
     # -- the operation path --------------------------------------------------------
 
@@ -1297,11 +1282,7 @@ class OperationPipeline:
         # admission order, wrapped by the retry policy.  The wave's ledger
         # lets requests targeting copies at the same site share one bulk
         # round trip ("group by target partition").
-        ledger = _TransferLedger()
-        if config.coalesce_writes:
-            yield from self._fan_out_coalesced(wave, ledger)
-        else:
-            yield from self._fan_out(wave, ledger)
+        yield from self._fan_out(wave, _TransferLedger())
         # One shared answer transfer back to each client site.  (Failures
         # with respond=False cannot reach this point: they early-return in
         # the admission handler.)
@@ -1318,45 +1299,17 @@ class OperationPipeline:
                         reason=slot.failure.reason, batched=True)
 
     def _fan_out(self, wave: List[_BatchSlot], ledger: _TransferLedger):
-        """Generator: the per-request transactional tail of one wave."""
-        placement_changed = False
-        for slot in wave:
-            if not slot.runnable:
-                continue
-            if placement_changed and slot.ctx.location_resolved:
-                # An earlier CREATE/DELETE of this wave may have moved or
-                # removed data the shared probe resolved: re-locate at this
-                # request's own turn, as the sequential path would.
-                slot.ctx.located_element = None
-                slot.ctx.location_resolved = False
-            pending = slot.failure
-            slot.failure = None
-            try:
-                yield from self.retry_stage.run(slot.ctx,
-                                                pending_failure=pending,
-                                                ledger=ledger)
-            except OperationFailure as failure:
-                slot.failure = failure
-            if slot.failure is None and \
-                    slot.ctx.plan.kind in (PlanKind.CREATE, PlanKind.DELETE):
-                placement_changed = True
+        """Generator: the per-request transactional tail of one wave.
 
-    def _fan_out_coalesced(self, wave: List[_BatchSlot],
-                           ledger: _TransferLedger):
-        """Generator: the transactional tail with cross-wave write coalescing.
-
-        Writes against one partition share a single multi-record intra-SE
-        transaction (:class:`_CoalescedGroup`): one begin/commit charge per
-        partition per wave, with per-record results fanned back out and a
-        failing record rolled back to its savepoint without disturbing its
-        group-mates.  Records are still *applied* in global admission order,
-        so within-wave visibility (create-then-duplicate-create, delete-then-
-        delete) matches sequential execution; a read addressing a partition
-        with an open group flushes that group first, so it observes its
+        Requests run in global admission order through the
+        :class:`RetryStage`, after a deadline check and data location that
+        give the codes and counters it would.  With
+        ``UDRConfig.coalesce_writes`` a write joins its partition's shared
+        transaction instead (:meth:`_coalesced_write`), and a read or search
+        first commits the open groups it could observe, so it sees its
         wave-mates' earlier writes exactly as the sequential path would.
-        Failures that a retry policy calls transient fall back to the
-        per-record write path via :class:`RetryStage`.
         """
+        coalesce = self.config.coalesce_writes
         groups: Dict[int, _CoalescedGroup] = {}
         placement_changed = False
         for slot in wave:
@@ -1364,13 +1317,15 @@ class OperationPipeline:
                 continue
             ctx = slot.ctx
             if placement_changed and ctx.location_resolved:
+                # An earlier CREATE/DELETE of this wave may have moved or
+                # removed data the shared probe resolved: re-locate at this
+                # request's own turn, as the sequential path would.
                 ctx.located_element = None
                 ctx.location_resolved = False
             pending = slot.failure
             slot.failure = None
             if pending is None and ctx.expired(self.sim.now):
-                # Short-circuit before locate or the shared transaction:
-                # expired work must not consume the group's hops.
+                # Expired work must not consume the wave's hops.
                 self.batch.increment("api.deadline_expired")
                 pending = OperationFailure(ResultCode.TIME_LIMIT_EXCEEDED,
                                            "deadline expired",
@@ -1380,31 +1335,26 @@ class OperationPipeline:
                     self.locate.run(ctx)
                 except OperationFailure as failure:
                     pending = failure
-            if pending is None and ctx.plan.is_write:
+            joined = False
+            if pending is None and coalesce and ctx.plan.is_write:
                 pending = yield from self._coalesced_write(slot, groups,
                                                            ledger)
-                if pending is None:
-                    if ctx.plan.kind in (PlanKind.CREATE, PlanKind.DELETE):
-                        placement_changed = True
-                    continue
-            elif pending is None and ctx.plan.kind is PlanKind.SEARCH:
-                # A scoped search may touch any partition: commit every open
-                # group first so it observes its wave-mates' earlier writes.
-                for partition in list(groups):
-                    yield from self._flush_group(groups.pop(partition))
-            elif pending is None:
-                # A read must observe its wave-mates' earlier writes: commit
-                # the open group on its partition before serving it.
-                partition = self.deployment.primary_partition_of_element.get(
-                    ctx.located_element)
-                group = groups.pop(partition, None)
-                if group is not None:
-                    yield from self._flush_group(group)
-            try:
-                yield from self.retry_stage.run(ctx, pending_failure=pending,
-                                                ledger=ledger)
-            except OperationFailure as failure:
-                slot.failure = failure
+                joined = pending is None
+            elif pending is None and groups:
+                # Commit the groups this read could observe: the one on its
+                # partition, or every one for a scoped search.
+                observed = list(groups) if ctx.plan.kind is PlanKind.SEARCH \
+                    else [self.deployment.primary_partition_of_element.get(
+                        ctx.located_element)]
+                for partition in observed:
+                    if partition in groups:
+                        yield from self._flush_group(groups.pop(partition))
+            if not joined:
+                try:
+                    yield from self.retry_stage.run(
+                        ctx, pending_failure=pending, ledger=ledger)
+                except OperationFailure as failure:
+                    slot.failure = failure
             if slot.failure is None and \
                     ctx.plan.kind in (PlanKind.CREATE, PlanKind.DELETE):
                 placement_changed = True
@@ -1415,61 +1365,44 @@ class OperationPipeline:
                          groups: Dict[int, _CoalescedGroup],
                          ledger: _TransferLedger):
         """Generator: apply one write inside its partition's shared
-        transaction.
+        transaction; the commit (and its charge) waits for
+        :meth:`_flush_group`.
 
         Returns ``None`` on success or the :class:`OperationFailure` the
         caller should hand to the retry stage (group open failures and
         conflict aborts are transient; business errors are final either
-        way).  Mirrors :meth:`WritePath.run` for placement, element choice
-        and identity bookkeeping, but defers the commit (and its charge) to
-        :meth:`_flush_group`.
+        way).
         """
         ctx = slot.ctx
         plan = ctx.plan
-        if plan.kind is PlanKind.CREATE and ctx.located_element is None:
-            ctx.located_element = self.deployment.place_subscriber(
-                _PlacementView(plan.attributes),
-                plan.attributes.get("imsi", ""))
+        write_path = self.write_path
+        write_path.place(ctx)
         partition_index = self.deployment.primary_partition_of_element[
             ctx.located_element]
         group = groups.get(partition_index)
         if group is None:
+            # The opener pays the PoA round trip once for the whole group
+            # (the wave ledger covers same-site repeats).
             try:
-                group = yield from self._open_group(ctx, partition_index,
-                                                    ledger)
+                target = yield from write_path.write_target(ctx, ledger)
             except OperationFailure as failure:
                 return failure
-            groups[partition_index] = group
+            group = groups[partition_index] = _CoalescedGroup(*target)
         reads = 1 if plan.kind is PlanKind.UPDATE else 0
         yield self.sim.timeout(
             group.element.service_times.operation_time(reads=reads, writes=1))
         savepoint = group.transaction.savepoint()
         try:
-            _key, prior_value = self.write_path.apply_plan(
-                group.transaction, plan, group.copy)
+            prior_value = write_path.apply_plan(group.transaction, plan)
         except (WriteConflict, FencedError) as error:
             # The no-wait lock grab lost against a transaction *outside* the
             # wave (or the membership plane fenced the copy mid-wave) and
             # aborted the shared transaction: every record applied so far is
-            # discarded through no fault of its own.  Undo their eager
-            # identity bookkeeping and re-drive each through the per-record
-            # write path (their first attempt never committed, so this is
-            # completion, not a retry); only the record that hit the
-            # conflict/fence answers BUSY/FENCED, retryable under the
-            # policy -- exactly the sequential outcome.
+            # discarded through no fault of its own and is re-driven.  Only
+            # the record that hit the conflict/fence answers BUSY/FENCED,
+            # retryable under the policy -- exactly the sequential outcome.
             del groups[partition_index]
-            self.batch.increment("batch.coalesced.aborts")
-            for undo in reversed(group.undos):
-                undo()
-            for member in group.slots:
-                member.ctx.located_element = None
-                member.ctx.location_resolved = False
-                member.ctx.entries = []
-                try:
-                    # A re-drive is a fresh message: no wave ledger.
-                    yield from self.retry_stage.run(member.ctx)
-                except OperationFailure as member_failure:
-                    member.failure = member_failure
+            yield from self._redrive(group, fenced=False)
             if isinstance(error, FencedError):
                 return OperationFailure(ResultCode.FENCED,
                                         "write copy fenced, retry")
@@ -1481,42 +1414,20 @@ class OperationPipeline:
         group.slots.append(slot)
         ctx.epoch = group.copy.transactions.epoch
         self.batch.increment("batch.coalesced.records")
-        poa = ctx.poa
         if plan.kind is PlanKind.CREATE:
             # Register eagerly (sequential registers after its per-write
             # commit): later requests of this wave must locate the newcomer.
-            identities = {itype: plan.attributes.get(attr)
-                          for itype, attr in IDENTITY_RECORD_ATTRIBUTE.items()
-                          if plan.attributes.get(attr)}
-            self.deployment.register_identities(
-                identities, ctx.located_element,
-                all_locators=self.config.location_mode is
-                LocationMode.PROVISIONED_MAPS,
-                serving_locator=poa.locator)
-            self.warm_cache(poa, identities, ctx.located_element)
-            group.undos.append(
-                lambda ids=identities: self._undo_create(ids))
+            identities = write_path.register_created(ctx)
+            group.undos.append(lambda ids=identities: write_path.forget(ids))
         elif plan.kind is PlanKind.DELETE and isinstance(prior_value, dict):
-            deleted_identities = {
-                itype: prior_value.get(attr)
-                for itype, attr in IDENTITY_RECORD_ATTRIBUTE.items()
-                if prior_value.get(attr)}
-            self.deployment.deregister_identities(deleted_identities)
-            self.caches.invalidate_identities(deleted_identities)
+            identities = _identities_of(prior_value)
+            write_path.forget(identities)
             group.undos.append(
-                lambda ids=deleted_identities, element=ctx.located_element:
+                lambda ids=identities, element=ctx.located_element:
                 self._undo_delete(ids, element))
         ctx.entries = []
         ctx.served_from = group.target_name
         return None
-
-    def _undo_create(self, identities: Dict[str, str]) -> None:
-        """Reverse a CREATE's eager registration after its write was
-        discarded (group abort) or left unlocatable (replication
-        shortfall, matching the sequential path that registers only after
-        a successful replicate)."""
-        self.deployment.deregister_identities(identities)
-        self.caches.invalidate_identities(identities)
 
     def _undo_delete(self, identities: Dict[str, str],
                      element_name: str) -> None:
@@ -1528,38 +1439,36 @@ class OperationPipeline:
         self.deployment.register_identities(identities, element_name,
                                             all_locators=True)
 
-    def _open_group(self, ctx: OperationContext, partition_index: int,
-                    ledger: _TransferLedger):
-        """Generator: begin a partition's shared write transaction.
+    def _redrive(self, group: _CoalescedGroup, fenced: bool):
+        """Generator: undo a group that committed nothing and re-drive each
+        member, re-located from scratch, through the per-record path.
 
-        Pays the PoA-to-element round trip once for the whole group (the
-        opener's PoA; the wave ledger covers same-site repeats) and chooses
-        the write element exactly as :class:`WritePath` would.
+        ``fenced=False``: an abort while applying (``batch.coalesced.aborts``)
+        -- the members never committed, so this completes them.  ``fenced=True``:
+        the commit was fenced at flush (``batch.coalesced.fenced``) -- each
+        member carries the FENCED verdict its own commit would have earned
+        into the retry policy.  A re-drive is a fresh message: no ledger.
         """
-        deployment = self.deployment
-        replica_set = deployment.replica_set_of_element(ctx.located_element)
-        coordinator = deployment.coordinators[partition_index]
-        reachable = [name for name in replica_set.member_names
-                     if replica_set.element(name).available
-                     and deployment.network.reachable(
-                         ctx.poa.site, replica_set.element(name).site)]
-        try:
-            target_name = coordinator.choose_write_element(
-                reachable, timestamp=self.sim.now)
-        except MasterUnreachable as error:
-            raise OperationFailure(
-                ResultCode.UNAVAILABLE,
-                f"master unreachable ({error.reason})") from None
-        element = deployment.elements[target_name]
-        copy = replica_set.copy_on(target_name)
-        yield from self.write_path.element_round_trip(
-            ctx.poa, element, "write copy unreachable", ledger=ledger)
-        return _CoalescedGroup(partition_index, target_name, element, copy,
-                               copy.transactions.begin())
+        self.batch.increment("batch.coalesced.fenced" if fenced
+                             else "batch.coalesced.aborts")
+        for undo in reversed(group.undos):
+            undo()
+        for member in group.slots:
+            ctx = member.ctx
+            ctx.located_element = None
+            ctx.location_resolved = False
+            ctx.entries = []
+            pending = OperationFailure(ResultCode.FENCED,
+                                       "write copy fenced") if fenced else None
+            try:
+                yield from self.retry_stage.run(ctx, pending_failure=pending)
+            except OperationFailure as failure:
+                member.failure = failure
 
     def _flush_group(self, group: _CoalescedGroup):
         """Generator: commit one coalesced group -- one commit charge (and
-        one synchronous-replication drive) for all its records.  A
+        one synchronous-replication drive) for all its records.  A fence at
+        commit re-drives every member (:meth:`_redrive`).  A
         synchronous-replication shortfall marks every member with the same
         non-retryable code each would have earned sequentially, and
         reverses the eager identity bookkeeping: the sequential path
@@ -1570,23 +1479,8 @@ class OperationPipeline:
         try:
             record = group.transaction.commit(timestamp=self.sim.now)
         except FencedError:
-            # Fenced between apply and flush: nothing committed.  Undo the
-            # eager bookkeeping and re-drive each member through the
-            # per-record path, which relocates to the new epoch's master.
-            self.batch.increment("batch.coalesced.fenced")
-            for undo in reversed(group.undos):
-                undo()
-            for member in group.slots:
-                member.ctx.located_element = None
-                member.ctx.location_resolved = False
-                member.ctx.entries = []
-                try:
-                    yield from self.retry_stage.run(
-                        member.ctx,
-                        pending_failure=OperationFailure(
-                            ResultCode.FENCED, "write copy fenced"))
-                except OperationFailure as member_failure:
-                    member.failure = member_failure
+            # Fenced between apply and flush: nothing committed.
+            yield from self._redrive(group, fenced=True)
             return
         self.batch.increment("batch.coalesced.groups")
         if record is not None and \
@@ -1617,7 +1511,9 @@ class OperationPipeline:
                 retry_policy=item.retry_policy if item.retry_policy
                 is not None else self.config.retry_policy)
         try:
-            poa = yield from self.batch_admission.run(client_site, group)
+            # One shared PoA hop for the group; no reachable PoA fails
+            # every request exactly as the sequential admission would.
+            poa = yield from self.admission.reach_poa(client_site)
         except OperationFailure as failure:
             for slot in group:
                 slot.failure = failure
@@ -1625,6 +1521,8 @@ class OperationPipeline:
                     slot.ctx, failure.code, reason=failure.reason,
                     batched=True)
             return None
+        for slot in group:
+            slot.ctx.poa = poa
         self.batch.increment("batch.admitted", len(group))
         return poa
 

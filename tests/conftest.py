@@ -1,9 +1,24 @@
 """Shared fixtures: a small UDR deployment with a loaded subscriber base."""
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.core import ClientType, UDRConfig, UDRNetworkFunction
 from repro.subscriber import SubscriberGenerator
+
+
+def pytest_collection_finish(session):
+    """Build Hypothesis' default text alphabet before the first test runs.
+
+    The first ``st.text()`` draw of a process computes the set of
+    characters UTF-8 can encode by trying every code point, then caches it
+    under ``.hypothesis/unicode_data/``.  Without that cache (a fresh
+    clone, a CI runner) the ``@given`` test that draws text first pays
+    several seconds inside its ``too_slow`` health-check window and fails.
+    Validating the strategy here builds the alphabet once, outside any
+    test; no health check is relaxed.
+    """
+    st.text().validate()
 
 
 def build_udr(config=None, subscribers=60, seed=7):

@@ -526,13 +526,13 @@ class TestCoalescedWrites:
         original_apply = write_path.apply_plan
         calls = []
 
-        def conflicted_apply(transaction, plan, copy):
+        def conflicted_apply(transaction, plan):
             calls.append(plan.identity_value)
             if len(calls) == on_call:
                 transaction.abort(reason="injected conflict")
                 raise WriteConflict(plan.identity_value, holder=-1,
                                     requester=transaction.transaction_id)
-            return original_apply(transaction, plan, copy)
+            return original_apply(transaction, plan)
 
         write_path.apply_plan = conflicted_apply
 
@@ -667,6 +667,82 @@ class TestCoalescedWrites:
         assert outcomes[True][0] == "UNAVAILABLE"
         assert outcomes[True][1] is False, \
             "a create that failed its durability bar must stay unregistered"
+
+    @pytest.mark.parametrize("max_retries", [None, 1])
+    def test_fence_at_flush_redrives_members_like_per_record(
+            self, max_retries):
+        """The group's write copy is fenced between apply and flush (its
+        master deposed mid-wave): the shared commit is refused, the group
+        counts in ``batch.coalesced.fenced``, and every member is re-driven
+        through the per-record path.  Each answers exactly what the
+        per-record path answers on that fenced copy, the modified record is
+        untouched, and the discarded CREATE is not locatable anywhere."""
+        from repro.core import RetryPolicy
+        from repro.directory.errors import UnknownIdentity
+        policy = None if max_retries is None else \
+            RetryPolicy(max_retries=max_retries)
+        outcomes = {}
+        for coalesce in (False, True):
+            udr, profiles = build_udr(config=UDRConfig(
+                seed=7, coalesce_writes=coalesce, retry_policy=policy),
+                subscribers=48)
+            newcomer = SubscriberGenerator(udr.config.regions,
+                                           seed=515).generate_one()
+            placed = udr.deployment.place_subscriber(
+                newcomer, newcomer.identities.imsi)
+            mate = next(profile for profile in profiles
+                        if udr.deployment.authoritative_lookup(
+                            "imsi", profile.identities.imsi) == placed)
+            transactions = udr.deployment.replica_set_of_element(
+                placed).master_copy.transactions
+            if coalesce:
+                # Fence when the group's flush starts: every record is
+                # applied, the commit has not run yet.
+                service_times = udr.elements[placed].service_times
+                charge = service_times.commit_charge
+
+                def fence_then_charge(synchronous_commit=False,
+                                      charge=charge,
+                                      transactions=transactions):
+                    transactions.self_fence(reason="deposed mid-wave")
+                    return charge(synchronous_commit)
+
+                service_times.commit_charge = fence_then_charge
+            else:
+                # The per-record path commits each write on its own, so
+                # the fence it can meet is one already in place.
+                transactions.self_fence(reason="deposed mid-wave")
+            site = udr.topology.sites[0]
+            items = [
+                BatchItem(AddRequest(
+                    dn=SubscriberSchema.subscriber_dn(
+                        newcomer.identities.imsi),
+                    attributes=newcomer.to_record()),
+                    ClientType.PROVISIONING, site),
+                BatchItem(ModifyRequest(
+                    dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
+                    changes={"servingMsc": "fenced"}),
+                    ClientType.PROVISIONING, site),
+            ]
+            responses = run_to_completion(
+                udr, udr.pipeline.execute_batch(items))
+            outcomes[coalesce] = [(response.result_code.name,
+                                   response.attempts)
+                                  for response in responses]
+            assert udr.metrics.counter("batch.coalesced.fenced") == \
+                (1 if coalesce else 0)
+            assert udr.metrics.counter("batch.coalesced.groups") == 0
+            assert udr.deployment.replica_set_of_element(
+                placed).master_copy.store.get(
+                f"sub:{mate.identities.imsi}")["servingMsc"] != "fenced"
+            assert udr.deployment.authoritative_lookup(
+                "imsi", newcomer.identities.imsi) is None
+            for locator in udr.locators.values():
+                with pytest.raises(UnknownIdentity):
+                    locator.locate("imsi", newcomer.identities.imsi)
+        assert outcomes[True] == outcomes[False]
+        assert [code for code, _attempts in outcomes[True]] == \
+            ["FENCED", "FENCED"]
 
     def test_dispatcher_with_coalescing_end_to_end(self):
         udr, profiles = dispatcher_udr(coalesce_writes=True)

@@ -351,28 +351,37 @@ class TestUnavailabilityBound:
 
 
 class TestCompoundFaultRegression:
-    """Pinned reproducer for an open fencing hole under compound faults.
+    """Pinned compound-fault schedules that once promoted over a live master.
 
     Site 0 isolated at t=0.5 s, then the first element at site 1 and at
     site 2 crashed at t=1.4 s and t=2.3 s, everything healed at t=3.2 s.
-    Under seeds 7 and 11 the invariant checker reports
-    ``unfenced_promotion``: partition 1 is promoted to ``se-sweden-dc1-0``
-    at epoch 2 while the deposed master ``se-germany-dc1-0`` is live and
-    unfenced (seed 3 converges cleanly).  The property in
-    ``test_reconciliation.py`` draws too few examples to hit this case
-    reliably, so it is pinned here.  Once the protocol is fixed the strict
-    xfail turns into an XPASS failure: drop the mark then.
+    Under seeds 7 and 11 a promotion vote against the crashed master
+    ``se-germany-dc1-0`` was still open when the heal recovered it (live
+    and unfenced: a crashed master's lease state resets), and the vote
+    then promoted partition 1 to ``se-sweden-dc1-0`` at epoch 2 from the
+    suspicion it had read before it yielded.  Seed 678 with two crashes
+    and a disaster reported the same ``unfenced_promotion`` (partition 4,
+    deposed master ``se-sweden-dc1-1``) in a random sweep of compound
+    schedules.  ``MembershipPlane._try_promote`` now re-checks the suspect
+    after the ballots and aborts when it is back in service with quorum
+    contact.  The property in ``test_reconciliation.py`` draws too few
+    examples to hit these cases reliably, so they are pinned here.
     """
 
     INCIDENTS = [("partition", 0), ("crash", 1), ("crash", 2)]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 0: unfenced promotion under "
-                              "partition + two crashes")
-    @pytest.mark.parametrize("seed", [7, 11])
-    def test_partition_plus_two_crashes_promotes_fenced(self, seed):
+    @staticmethod
+    def assert_converged_without_violations(incidents, seed):
         checker, replicas, locators = run_healed_fault_schedule(
-            self.INCIDENTS, seed)
+            incidents, seed)
         assert replicas, "replicas diverged after heal"
         assert locators, "locators diverged after heal"
         assert [violation.kind for violation in checker.violations] == []
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_partition_plus_two_crashes_promotes_fenced(self, seed):
+        self.assert_converged_without_violations(self.INCIDENTS, seed)
+
+    def test_two_crashes_plus_disaster_promotes_fenced(self):
+        self.assert_converged_without_violations(
+            [("crash", 0), ("crash", 1), ("disaster", 1)], seed=678)
