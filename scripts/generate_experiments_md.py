@@ -5,19 +5,11 @@ Usage::
     python scripts/generate_experiments_md.py > EXPERIMENTS.md
 """
 
+import importlib
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.experiments import (  # noqa: E402
-    e01_capacity, e02_frash, e03_partition, e04_slave_reads, e05_durability,
-    e06_checkpoint, e07_scaleout, e08_placement, e09_multimaster,
-    e10_location_cost, e11_availability, e12_pacelc, e13_backlog, e14_latency,
-    e15_batch_throughput, e16_dispatcher_latency, e17_replication_mux,
-    e18_session_qos, e19_overload_flood, e20_search_scaling,
-    e23_reconciliation, e24_partition_drill,
-)
 
 PREAMBLE = """\
 # EXPERIMENTS — paper vs. measured
@@ -32,17 +24,21 @@ the comparisons below are about *shape*: who wins, what fails, what grows,
 and by roughly what factor.
 
 Every table can be regenerated individually with
-``pytest benchmarks/test_bench_<id>_*.py --benchmark-only``.
+``PYTHONPATH=src python -c "from repro.experiments import <module> as e;
+print(e.run().to_markdown())"``, and its acceptance bar is checked by
+``python -m pytest tests/test_experiment_bars.py -k <module>``.
 """
 
-MODULES = [
-    e01_capacity, e02_frash, e03_partition, e04_slave_reads, e05_durability,
-    e06_checkpoint, e07_scaleout, e08_placement, e09_multimaster,
-    e10_location_cost, e11_availability, e12_pacelc, e13_backlog, e14_latency,
-    e15_batch_throughput, e16_dispatcher_latency, e17_replication_mux,
-    e18_session_qos, e19_overload_flood, e20_search_scaling,
-    e23_reconciliation, e24_partition_drill,
-]
+#: The experiment modules under ``repro.experiments``, in report order.
+MODULES = [importlib.import_module(f"repro.experiments.{name}") for name in (
+    "e01_capacity", "e02_frash", "e03_partition", "e04_slave_reads",
+    "e05_durability", "e06_checkpoint", "e07_scaleout", "e08_placement",
+    "e09_multimaster", "e10_location_cost", "e11_availability", "e12_pacelc",
+    "e13_backlog", "e14_latency", "e15_batch_throughput",
+    "e16_dispatcher_latency", "e17_replication_mux", "e18_session_qos",
+    "e19_overload_flood", "e20_search_scaling", "e23_reconciliation",
+    "e24_partition_drill",
+)]
 
 
 def main() -> None:

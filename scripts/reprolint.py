@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint (default: "
-                             "src scripts benchmarks examples)")
+                             "src scripts examples)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="repository root (default: this checkout)")
     parser.add_argument("--baseline", nargs="?", type=Path,

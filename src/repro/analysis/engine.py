@@ -27,7 +27,7 @@ from repro.analysis.findings import Finding, Suppression, parse_suppressions
 from repro.analysis.imports import ImportTable
 
 #: Directories walked by default, relative to the repo root.
-DEFAULT_ROOTS: Tuple[str, ...] = ("src", "scripts", "benchmarks", "examples")
+DEFAULT_ROOTS: Tuple[str, ...] = ("src", "scripts", "examples")
 
 #: Directory names never descended into.
 SKIPPED_DIRS = {"__pycache__", ".git", ".pytest_cache", ".hypothesis",

@@ -157,10 +157,9 @@ class Reconciler:
                       slave_copy, suspect_buckets):
         buckets = self.policy.digest_buckets
         channel = self._channel_for(replica_set, slave_name)
-        quarantined = False
-        if self.pipeline is not None and self.policy.quarantine_reads:
+        quarantined = self.pipeline is not None
+        if quarantined:
             self.pipeline.read_quarantine.add(slave_name)
-            quarantined = True
         try:
             suspects = set()
             for bucket_index in suspect_buckets:

@@ -207,8 +207,8 @@ class PromotionProtocol:
         so delivery needs the element in service and bidirectional contact
         between the two sites.  Delivery fences the deposed copy at the
         promotion epoch, replays its acked old-epoch tail onto the new
-        master (``rejoin_handoff``), and force-resynchronises the whole
-        element so it rejoins as a consistent slave.
+        master, and force-resynchronises the whole element so it rejoins as
+        a consistent slave.
         """
         delivered = 0
         resync_elements = []
@@ -229,8 +229,7 @@ class PromotionProtocol:
                 continue
             copy = replica_set.copy_on(element_name)
             copy.transactions.fence(epoch)
-            if self.policy.rejoin_handoff:
-                self._rejoin_handoff(replica_set, element_name, epoch)
+            self._rejoin_handoff(replica_set, element_name, epoch)
             del self.pending_fences[key]
             self.stats.fences_delivered += 1
             delivered += 1

@@ -117,10 +117,9 @@ class RetryPolicy:
     Applied by the batch pipeline's :class:`~repro.core.pipeline.RetryStage`:
     a failed attempt whose code is in ``retry_codes`` waits
     ``backoff_tick * backoff_multiplier**(attempt-1)`` virtual seconds and is
-    re-driven.  With ``relocate_on_retry`` (the default) the retry re-runs
-    data location from scratch, so a retry after a fail-over -- which
-    invalidated the PoA caches -- resolves the fresh location instead of the
-    one the failed attempt used.
+    re-driven.  The retry re-runs data location from scratch, so a retry
+    after a fail-over -- which invalidated the PoA caches -- resolves the
+    fresh location instead of the one the failed attempt used.
 
     ``retry_codes`` holds :class:`~repro.ldap.operations.ResultCode` *names*
     (strings), keeping the configuration layer free of LDAP imports.
@@ -130,7 +129,6 @@ class RetryPolicy:
     backoff_tick: float = 5 * units.MILLISECOND
     backoff_multiplier: float = 2.0
     retry_codes: Tuple[str, ...] = ("BUSY", "UNAVAILABLE", "FENCED")
-    relocate_on_retry: bool = True
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -282,9 +280,6 @@ class CdcPolicy:
     digest_time: float = 1 * units.MILLISECOND
     #: Simulated cost of repairing one confirmed-drift key.
     repair_time: float = 0.5 * units.MILLISECOND
-    #: Exclude a slave element from read-path replica choice while its copy
-    #: is under repair (reads cannot observe half-repaired state).
-    quarantine_reads: bool = True
     #: Per-record cap on retained audit entries; ``None`` keeps everything.
     history_max_entries_per_record: Optional[int] = None
     #: Per-partition cap on retained stream events; ``None`` keeps
@@ -343,10 +338,6 @@ class MembershipPolicy:
     #: WAN profile -- several lease windows), so the vote wait is capped
     #: here and an expired round simply retries on the next heartbeat.
     vote_timeout: float = 300 * units.MILLISECOND
-    #: Re-home the deposed master's acked-but-unshipped tail onto the new
-    #: master when the old one rejoins (replayed as fresh current-epoch
-    #: commits, skipping keys the new epoch already superseded).
-    rejoin_handoff: bool = True
 
     def __post_init__(self):
         if self.heartbeat_interval <= 0:

@@ -1031,9 +1031,9 @@ class RetryStage(PipelineStage):
     the read/write path for one context.  On an :class:`OperationFailure`
     whose code the context's :class:`~repro.core.config.RetryPolicy` calls
     transient, it waits the policy's backoff and tries again -- re-running
-    data location from scratch (``relocate_on_retry``), so a fail-over that
-    invalidated the PoA caches between attempts is honoured instead of
-    retrying against the stale location.  The policy is resolved at context
+    data location from scratch, so a fail-over that invalidated the PoA
+    caches between attempts is honoured instead of retrying against the
+    stale location.  The policy is resolved at context
     creation (the per-session QoS override, else ``UDRConfig.retry_policy``
     on the batched paths, else ``None``); without one the stage is a plain
     pass-through, preserving sequential-path behaviour bit for bit.
@@ -1095,9 +1095,8 @@ class RetryStage(PipelineStage):
                                        retryable=False)
             batch.increment("batch.retries")
             yield self.sim.timeout(policy.backoff(attempt))
-            if policy.relocate_on_retry:
-                ctx.located_element = None
-                ctx.location_resolved = False
+            ctx.located_element = None
+            ctx.location_resolved = False
             ctx.entries = []
             ctx.next_cursor = None
             ctx.has_more = False

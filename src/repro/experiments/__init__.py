@@ -2,9 +2,9 @@
 
 Every experiment builds the system it needs, runs it, and returns an
 :class:`~repro.experiments.runner.ExperimentResult` whose rows are the table
-the paper (or its prose) implies.  The benchmark suite under ``benchmarks/``
-runs each experiment and prints its table; ``EXPERIMENTS.md`` records the
-paper-vs-measured comparison.
+the paper (or its prose) implies.  ``tests/test_experiment_bars.py`` runs
+each experiment and asserts its acceptance notes; ``EXPERIMENTS.md`` records
+the paper-vs-measured comparison.
 
 Index (EXPERIMENTS.md, regenerated by ``scripts/generate_experiments_md.py``
 and kept fresh by CI, records every table with the paper-vs-measured

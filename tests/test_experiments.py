@@ -1,8 +1,9 @@
 """Tests for the experiment harnesses: each reproduces its paper claim.
 
-The benchmarks under ``benchmarks/`` time the same harnesses; these tests
-assert the *direction* of every result (who wins, what fails, what grows), so
-a regression in any substrate shows up here as a broken paper claim.
+``tests/test_experiment_bars.py`` holds each full run to its acceptance bar;
+these tests assert the *direction* of every result (who wins, what fails,
+what grows), often at smaller sizes, so a regression in any substrate shows
+up here as a broken paper claim.
 """
 
 import pytest
