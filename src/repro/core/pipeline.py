@@ -183,10 +183,9 @@ class PipelineStage:
                           site: Site) -> List[str]:
         """Members that are up and reachable from ``site`` (the read and
         the write copy choices pick among them)."""
-        return [name for name in replica_set.member_names
-                if replica_set.element(name).available
-                and self.network.reachable(site,
-                                           replica_set.element(name).site)]
+        reachable = self.network.reachable
+        return [element.name for element, _copy in replica_set.members()
+                if element.available and reachable(site, element.site)]
 
 
 class AdmissionStage(PipelineStage):
@@ -414,22 +413,46 @@ class ReadPath(PipelineStage):
             client_type.value, served_from_slave=served_from_slave,
             stale=stale, versions_behind=versions_behind)
         entry = dict(record)
-        entry["dn"] = str(SubscriberSchema.subscriber_dn(entry.get("imsi", "")))
+        entry["dn"] = SubscriberSchema.subscriber_dn_text(entry.get("imsi", ""))
         ctx.entries = [_project(entry, plan.requested_attributes)]
         ctx.served_from = copy_element
 
-    @staticmethod
-    def _imsi_of(plan: OperationPlan, replica_set: ReplicaSet,
+    def _imsi_of(self, plan: OperationPlan, replica_set: ReplicaSet,
                  located_element: str) -> str:
         if plan.identity_type == "imsi":
             return plan.identity_value
-        # Non-IMSI identities: find the record through the master copy's
+        # Non-IMSI identities: find the record through the located copy's
         # attribute values (the LDAP server would use the SE's local index).
-        record = find_identity_record(replica_set.copy_on(located_element),
-                                      plan.identity_type, plan.identity_value)
+        copy = replica_set.copy_on(located_element)
+        record = self._posted_identity_record(copy, plan.identity_type,
+                                              plan.identity_value)
+        if record is None:
+            record = find_identity_record(copy, plan.identity_type,
+                                          plan.identity_value)
         if record is None:
             return plan.identity_value
         return record.get("imsi", plan.identity_value)
+
+    def _posted_identity_record(self, copy, identity_type: str,
+                                value: str) -> Optional[dict]:
+        """The one record on ``copy`` the catalog's postings name for an
+        identity, confirmed against the copy itself.
+
+        ``None`` when there is no catalog, no posting, or not exactly one
+        confirmed hit (a copy lagging the catalog): the caller then scans
+        the copy, so the answer is the scan's answer either way.
+        """
+        catalog = self.deployment.catalog
+        attribute = IDENTITY_RECORD_ATTRIBUTE.get(identity_type)
+        if catalog is None or attribute is None:
+            return None
+        postings = catalog.attributes.equality_postings(attribute, value)
+        if not postings:
+            return None
+        hits = [record for record in map(copy.store.get, postings)
+                if isinstance(record, dict)
+                and record.get(attribute) == value]
+        return hits[0] if len(hits) == 1 else None
 
     def _choose_read_element(self, replica_set: ReplicaSet, poa_site: Site,
                              client_type: ClientType) -> Optional[str]:
@@ -498,11 +521,14 @@ class SearchPath(PipelineStage):
     the filter planner's most-selective postings first, and only then fetches
     candidate records -- in ``(sort_key, entry_id)`` order, stopping as soon
     as a page is full, so a paged search touches storage proportionally to
-    the page, not the result set.  With ``search_index_enabled`` off (or no
-    catalog) it degrades to a full scan over every partition, which is the
-    e20 baseline; either way the parsed filter is re-evaluated on every
-    fetched entry, so the index only prunes, never decides, and both paths
-    return bit-identical result sets.
+    the page, not the result set.  The parsed filter is compiled once per
+    search (:meth:`SubscriberSchema.record_predicate`) and decides on each
+    fetched raw record; only a hit becomes an LDAP entry with its ``dn``.
+    With ``search_index_enabled`` off (or no catalog) it degrades to a full
+    scan over every partition that evaluates the filter on every entry
+    view, which is the e20 baseline.  Either way the full filter decides
+    every returned entry, so the index only prunes, and both paths return
+    bit-identical result sets.
     """
 
     def run(self, ctx: OperationContext,
@@ -536,6 +562,7 @@ class SearchPath(PipelineStage):
                                    f"search base {plan.base_dn} does not "
                                    f"exist")
         scope_ids, comparisons = scoped
+        predicate = SubscriberSchema.record_predicate(parsed)
         postings = filter_plan.candidates()
         if postings is not None:
             candidates = [entry_id for entry_id in scope_ids
@@ -559,11 +586,12 @@ class SearchPath(PipelineStage):
             if partition is None:
                 continue
             replica_set = self.deployment.replica_sets[partition]
-            entry = yield from self._fetch(ctx, replica_set, entry_id,
-                                           search_ledger)
-            if entry is None or not parsed.matches(entry):
+            record = yield from self._fetch(ctx, replica_set, entry_id,
+                                            search_ledger)
+            if record is None or not predicate(record):
                 continue
-            matches.append((sort_key, entry_id, entry))
+            matches.append((sort_key, entry_id,
+                            SubscriberSchema.ldap_entry(record)))
             if page_size is not None and len(matches) >= page_size:
                 break
         self._emit(ctx, matches,
@@ -573,7 +601,7 @@ class SearchPath(PipelineStage):
                entry_id: str, ledger: _TransferLedger):
         """Generator: read one candidate record from its best copy.
 
-        Returns the enriched LDAP entry, or ``None`` when the record vanished
+        Returns the raw stored record, or ``None`` when the record vanished
         or its partition has no reachable copy (the candidate is skipped, the
         scan itself survives partial unavailability).
         """
@@ -592,9 +620,7 @@ class SearchPath(PipelineStage):
         yield self.sim.timeout(
             element.service_times.operation_time(reads=1, writes=0))
         record = copy.store.get(entry_id)
-        if not isinstance(record, dict):
-            return None
-        return SubscriberSchema.ldap_entry(record)
+        return record if isinstance(record, dict) else None
 
     # -- scan fallback ------------------------------------------------------------
 

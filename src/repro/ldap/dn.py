@@ -17,7 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 _ESCAPABLE = {",", "+", "=", "\\", ";", "<", ">", "#"}
 
 
-def _escape_value(value: str) -> str:
+def escape_value(value: str) -> str:
+    """``value`` with the RDN special characters backslash-escaped."""
+    if _ESCAPABLE.isdisjoint(value):
+        return value
     escaped = []
     for char in value:
         if char in _ESCAPABLE:
@@ -125,7 +128,7 @@ class DistinguishedName:
     # -- formatting -------------------------------------------------------------------
 
     def __str__(self) -> str:
-        return ",".join(f"{attribute}={_escape_value(value)}"
+        return ",".join(f"{attribute}={escape_value(value)}"
                         for attribute, value in self.rdns)
 
     def __repr__(self) -> str:

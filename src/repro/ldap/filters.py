@@ -9,7 +9,14 @@ to be obviously correct.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+
+#: A compiled filter: takes a raw record, answers whether it matches.
+Predicate = Callable[[Mapping[str, Any]], bool]
+
+#: Where a lowered attribute name's value sits for one record key layout:
+#: ``(record key, None)``, or ``(None, value)`` for a constant or absent one.
+_Locate = Callable[[str], Tuple[Optional[str], Any]]
 
 
 class FilterError(ValueError):
@@ -26,49 +33,91 @@ class LdapFilter:
         """Attribute names the filter tests (used to extract identities)."""
         raise NotImplementedError
 
+    def compile(self, constants: Mapping[str, Any]) -> Predicate:
+        """This filter as one predicate over a raw stored record.
 
-class EqualityFilter(LdapFilter):
-    def __init__(self, attribute: str, value: str):
+        ``constants`` are the schema-level attributes an entry view adds to
+        the record: like the view, each replaces the record's value under
+        the same key and otherwise follows the record's own keys.  So
+        ``compile(constants)(record) == matches(view)`` where ``view`` is
+        ``dict(record)`` updated with ``constants``.  The filter is
+        specialised once per distinct tuple of record keys -- a store of
+        uniformly shaped records repeats one on almost every read -- so
+        attribute names are case-folded there, not per record, and tests
+        of constant or absent attributes are decided there too.
+        """
+        constants = dict(constants)
+        tests: Dict[Tuple[str, ...], Predicate] = {}
+
+        def predicate(record: Mapping[str, Any]) -> bool:
+            layout = tuple(record)
+            test = tests.get(layout)
+            if test is None:
+                test = tests[layout] = self._test(
+                    _locator(layout, constants))
+            return test(record)
+        return predicate
+
+    def _test(self, locate: _Locate) -> Predicate:
+        """This node over records of the layout ``locate`` describes."""
+        raise NotImplementedError
+
+
+class _SimpleFilter(LdapFilter):
+    """A test of one attribute's value (equality, presence, substring)."""
+
+    def __init__(self, attribute: str):
         self.attribute = attribute.lower()
-        self.value = value
 
     def matches(self, entry: Dict[str, Any]) -> bool:
-        actual = _get_attribute(entry, self.attribute)
+        return self.accepts(_get_attribute(entry, self.attribute))
+
+    def accepts(self, actual: Any) -> bool:
+        """Whether an attribute value (None when absent) satisfies the test."""
+        raise NotImplementedError
+
+    def referenced_attributes(self) -> List[str]:
+        return [self.attribute]
+
+    def _test(self, locate: _Locate) -> Predicate:
+        key, constant = locate(self.attribute)
+        accepts = self.accepts
+        if key is None:
+            return _always if accepts(constant) else _never
+        return lambda record: accepts(record[key])
+
+
+class EqualityFilter(_SimpleFilter):
+    def __init__(self, attribute: str, value: str):
+        super().__init__(attribute)
+        self.value = value
+
+    def accepts(self, actual: Any) -> bool:
         if actual is None:
             return False
         if isinstance(actual, (list, tuple, set)):
             return any(str(item) == self.value for item in actual)
         return str(actual) == self.value
 
-    def referenced_attributes(self) -> List[str]:
-        return [self.attribute]
-
     def __repr__(self) -> str:
         return f"({self.attribute}={self.value})"
 
 
-class PresenceFilter(LdapFilter):
-    def __init__(self, attribute: str):
-        self.attribute = attribute.lower()
-
-    def matches(self, entry: Dict[str, Any]) -> bool:
-        return _get_attribute(entry, self.attribute) is not None
-
-    def referenced_attributes(self) -> List[str]:
-        return [self.attribute]
+class PresenceFilter(_SimpleFilter):
+    def accepts(self, actual: Any) -> bool:
+        return actual is not None
 
     def __repr__(self) -> str:
         return f"({self.attribute}=*)"
 
 
-class SubstringFilter(LdapFilter):
+class SubstringFilter(_SimpleFilter):
     def __init__(self, attribute: str, pattern: str):
-        self.attribute = attribute.lower()
+        super().__init__(attribute)
         self.pattern = pattern
         self.parts = pattern.split("*")
 
-    def matches(self, entry: Dict[str, Any]) -> bool:
-        actual = _get_attribute(entry, self.attribute)
+    def accepts(self, actual: Any) -> bool:
         if actual is None:
             return False
         text = str(actual)
@@ -87,9 +136,6 @@ class SubstringFilter(LdapFilter):
             position = index + len(part)
         return True
 
-    def referenced_attributes(self) -> List[str]:
-        return [self.attribute]
-
     def __repr__(self) -> str:
         return f"({self.attribute}={self.pattern})"
 
@@ -104,6 +150,21 @@ class AndFilter(LdapFilter):
     def referenced_attributes(self) -> List[str]:
         return [attr for child in self.children
                 for attr in child.referenced_attributes()]
+
+    def _test(self, locate: _Locate) -> Predicate:
+        tests = [child._test(locate) for child in self.children]
+        if _never in tests:
+            return _never
+        tests = [test for test in tests if test is not _always]
+        if len(tests) <= 1:
+            return tests[0] if tests else _always
+
+        def test_all(record: Mapping[str, Any]) -> bool:
+            for test in tests:
+                if not test(record):
+                    return False
+            return True
+        return test_all
 
     def __repr__(self) -> str:
         return "(&" + "".join(repr(child) for child in self.children) + ")"
@@ -120,6 +181,21 @@ class OrFilter(LdapFilter):
         return [attr for child in self.children
                 for attr in child.referenced_attributes()]
 
+    def _test(self, locate: _Locate) -> Predicate:
+        tests = [child._test(locate) for child in self.children]
+        if _always in tests:
+            return _always
+        tests = [test for test in tests if test is not _never]
+        if len(tests) <= 1:
+            return tests[0] if tests else _never
+
+        def test_any(record: Mapping[str, Any]) -> bool:
+            for test in tests:
+                if test(record):
+                    return True
+            return False
+        return test_any
+
     def __repr__(self) -> str:
         return "(|" + "".join(repr(child) for child in self.children) + ")"
 
@@ -134,6 +210,14 @@ class NotFilter(LdapFilter):
     def referenced_attributes(self) -> List[str]:
         return self.child.referenced_attributes()
 
+    def _test(self, locate: _Locate) -> Predicate:
+        test = self.child._test(locate)
+        if test is _always:
+            return _never
+        if test is _never:
+            return _always
+        return lambda record: not test(record)
+
     def __repr__(self) -> str:
         return f"(!{self.child!r})"
 
@@ -144,6 +228,35 @@ def _get_attribute(entry: Dict[str, Any], attribute: str) -> Optional[Any]:
         if key.lower() == attribute:
             return value if value is not None else None
     return None
+
+
+def _always(record: Mapping[str, Any]) -> bool:
+    return True
+
+
+def _never(record: Mapping[str, Any]) -> bool:
+    return False
+
+
+def _locator(layout: Tuple[str, ...], constants: Dict[str, Any]) -> _Locate:
+    """Attribute lookup for records with keys ``layout``, mirroring
+    :func:`_get_attribute` over ``dict(record)`` updated with ``constants``:
+    the first key -- record keys in order, then the constants the record
+    lacks -- whose lower-case form is the attribute wins."""
+    first: Dict[str, str] = {}
+    for key in layout:
+        first.setdefault(key.lower(), key)
+    for key in constants:
+        first.setdefault(key.lower(), key)
+
+    def locate(attribute: str) -> Tuple[Optional[str], Any]:
+        key = first.get(attribute)
+        if key is None:
+            return None, None
+        if key in constants:
+            return None, constants[key]
+        return key, None
+    return locate
 
 
 class PlannedPredicate:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ldap.dn import DistinguishedName
+from repro.ldap.dn import DistinguishedName, escape_value
+from repro.ldap.filters import LdapFilter, Predicate
 from repro.ldap.identity import IdentityType
 
 
@@ -26,6 +27,7 @@ class SubscriberSchema:
     """Names, identity attributes and validation rules for subscriber entries."""
 
     BASE_DN = DistinguishedName.parse("ou=subscribers,dc=udr,dc=operator,dc=example")
+    _BASE_DN_TEXT = str(BASE_DN)
     OBJECT_CLASS = "udrSubscriber"
 
     #: LDAP attribute name -> identity namespace of the location stage.
@@ -64,6 +66,13 @@ class SubscriberSchema:
         return cls.BASE_DN.child("imsi", imsi)
 
     @classmethod
+    def subscriber_dn_text(cls, imsi: str) -> str:
+        """``str(subscriber_dn(imsi))``, formatted without building the DN."""
+        if not imsi:
+            raise ValueError(f"invalid RDN ('imsi'={imsi!r})")
+        return f"imsi={escape_value(imsi)},{cls._BASE_DN_TEXT}"
+
+    @classmethod
     def is_subscriber_dn(cls, dn: DistinguishedName) -> bool:
         return (dn.leaf_attribute == "imsi"
                 and dn.is_descendant_of(cls.BASE_DN)
@@ -76,12 +85,24 @@ class SubscriberSchema:
                    dn: Optional[DistinguishedName] = None) -> Dict[str, Any]:
         """The directory view of a stored record: attributes plus the
         schema-level ``objectClass`` and ``dn`` the raw record omits."""
-        if dn is None:
-            dn = cls.subscriber_dn(str(record.get("imsi", "")))
+        dn_text = (cls.subscriber_dn_text(str(record.get("imsi", "")))
+                   if dn is None else str(dn))
         entry = dict(record)
         entry["objectClass"] = cls.OBJECT_CLASS
-        entry["dn"] = str(dn)
+        entry["dn"] = dn_text
         return entry
+
+    @classmethod
+    def record_predicate(cls, parsed: LdapFilter) -> Predicate:
+        """``parsed`` as a predicate over raw stored records.
+
+        Equal to ``parsed.matches(cls.ldap_entry(record))``: ``objectClass``
+        is a compile-time constant, so only a filter naming ``dn`` -- the
+        one attribute that differs per record -- builds the entry view.
+        """
+        if "dn" in parsed.referenced_attributes():
+            return lambda record: parsed.matches(cls.ldap_entry(record))
+        return parsed.compile({"objectClass": cls.OBJECT_CLASS})
 
     @classmethod
     def catalog_view(cls, key: str, value: Any

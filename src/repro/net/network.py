@@ -177,9 +177,10 @@ class Network:
         is exactly the crash-vs-partition ambiguity the membership plane's
         detector has to disambiguate.
         """
-        if source in self._failed_sites or destination in self._failed_sites:
+        failed = self._failed_sites
+        if failed and (source in failed or destination in failed):
             return False
-        if source == destination:
+        if source is destination or source == destination:
             return True
         for partition in self._partitions:
             if partition.blocks(source, destination):
