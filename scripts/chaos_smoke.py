@@ -8,8 +8,13 @@ Builds one membership-enabled deployment per seed, runs live signalling
 traffic for the campaign window, injects the campaign's seeded fault
 schedule (crashes, symmetric and one-way partitions, disasters), heals,
 quiesces and asserts the invariant checker's verdict: zero split-brain
-writes, zero acked writes lost, converged replicas and locators.  Exits
-non-zero with the violating seed's report on any failure.
+writes, zero acked writes lost, converged replicas and locators.
+
+Every seed runs twice: once on the default configuration, and once with
+the CDC plane on and WAL retention truncating master logs behind frequent
+checkpoints.  The second pass also fails when the change stream reports a
+retention gap (records truncated before it saw them).  Exits non-zero
+with the violating seed's report on any failure.
 """
 
 import sys
@@ -19,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api.operations import Read, Write  # noqa: E402
 from repro.core import ClientType, UDRConfig  # noqa: E402
-from repro.core.config import MembershipPolicy  # noqa: E402
+from repro.core.config import CdcPolicy, MembershipPolicy  # noqa: E402
 from repro.core.udr import UDRNetworkFunction  # noqa: E402
 from repro.faults import run_campaigns  # noqa: E402
 from repro.subscriber import SubscriberGenerator  # noqa: E402
@@ -30,12 +35,18 @@ INCIDENTS = 4
 QUIESCE = 3.0
 SUBSCRIBERS = 24
 TRAFFIC_RATE = 40.0
+#: ``(label, extra UDRConfig fields)`` of the two passes over the seeds.
+CONFIGURATIONS = (
+    ("default", {}),
+    ("cdc+retention", {"cdc": CdcPolicy(), "wal_retention": 16,
+                       "checkpoint_period": 0.5}),
+)
 
 
-def build_deployment(seed):
+def build_deployment(seed, **config_fields):
     """A started membership-enabled UDR with campaign-bounded traffic."""
     config = UDRConfig(seed=seed, name="chaos-smoke",
-                       membership=MembershipPolicy())
+                       membership=MembershipPolicy(), **config_fields)
     udr = UDRNetworkFunction(config)
     udr.start()
     generator = SubscriberGenerator(config.regions, seed=seed)
@@ -65,22 +76,39 @@ def build_deployment(seed):
 
 def main(argv):
     seeds = tuple(int(arg) for arg in argv[1:]) or DEFAULT_SEEDS
-    reports = run_campaigns(build_deployment, seeds=seeds,
-                            duration=DURATION, incidents=INCIDENTS,
-                            quiesce=QUIESCE)
     failed = False
-    for report in reports:
-        print(report.summary())
-        for description in report.incidents:
-            print(f"    {description}")
-        if not report.clean:
-            failed = True
-            for violation in report.violations:
-                print(f"    VIOLATION {violation}")
+    campaigns = 0
+    for label, config_fields in CONFIGURATIONS:
+        deployments = []
+
+        def factory(seed):
+            udr = build_deployment(seed, **config_fields)
+            deployments.append(udr)
+            return udr
+
+        reports = run_campaigns(factory, seeds=seeds, duration=DURATION,
+                                incidents=INCIDENTS, quiesce=QUIESCE)
+        for udr, report in zip(deployments, reports):
+            stream = udr.change_stream
+            gaps = stream.gap_records_lost if stream is not None else 0
+            print(f"[{label}] {report.summary()}, "
+                  f"wal_truncated={udr.replication_mux.wal_records_truncated}"
+                  f", cdc_gaps={gaps}")
+            for description in report.incidents:
+                print(f"    {description}")
+            if not report.clean:
+                failed = True
+                for violation in report.violations:
+                    print(f"    VIOLATION {violation}")
+            if gaps:
+                failed = True
+                print(f"    VIOLATION the change stream lost {gaps} "
+                      f"record(s) to WAL retention")
+        campaigns += len(reports)
     if failed:
         print("chaos smoke: FAILED")
         return 1
-    print(f"chaos smoke: {len(reports)} campaigns clean")
+    print(f"chaos smoke: {campaigns} campaigns clean")
     return 0
 
 

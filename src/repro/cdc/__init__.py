@@ -1,13 +1,13 @@
 """Change-data-capture plane: WAL-tap stream, audit history, reconciliation.
 
 The CDC plane taps the commit logs the replication mux already wakes on
-(:meth:`repro.storage.wal.WriteAheadLog.subscribe`) and turns them into an
+(:meth:`repro.storage.wal.WriteAheadLog.tap`) and turns them into an
 ordered, idempotent-by-commit-seq change stream per data partition:
 
 * :class:`~repro.cdc.stream.ChangeStream` -- folds every member copy's
-  commits (origin-filtered, so each logical commit appears exactly once,
-  across fail-over included) into per-partition event sequences, and pins
-  WAL retention through its tapped-LSN cursors;
+  own commits (so each logical commit appears exactly once, across
+  fail-over included) into per-partition event sequences; while paused,
+  its taps pin WAL retention;
 * :class:`~repro.cdc.history.HistoryStore` -- per-record audit history
   (who/what/when for every subscriber mutation), retained past
   ``wal_retention`` and queryable through ``Session.history``;

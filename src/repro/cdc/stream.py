@@ -1,13 +1,10 @@
 """WAL-tap change stream: ordered, idempotent-by-commit-seq change events.
 
-The stream subscribes to *every* member copy's commit log of every data
-partition, exactly like the DIT catalog does
-(:meth:`repro.core.deployment.DeploymentBuilder._build_catalog`): each tap
-filters to records the copy itself committed (``record.origin`` equals the
-copy's own transaction-manager name), so replication applies -- which
-preserve the originating master's name -- never fold the same logical
-commit twice, and the wiring keeps working across fail-over, when a
-promoted copy starts committing under its own name.
+The stream taps *every* member copy of every data partition for the
+commits that copy itself made
+(:meth:`~repro.storage.storage_element.PartitionCopy.tap_local_commits`),
+exactly like the DIT catalog does, so each logical commit folds once and
+the wiring survives fail-over.
 
 On top of the origin filter the stream deduplicates by ``commit_seq`` per
 partition, which makes delivery idempotent under re-delivery (a replayed
@@ -15,23 +12,21 @@ or re-applied record with an already-folded sequence number is counted in
 ``cdc.duplicates`` and dropped).  Per-partition event order is therefore
 the master's serialisation order -- the same order every slave applies.
 
-Every tap also maintains a **tapped-LSN cursor** per commit log: the
-highest LSN the stream has processed on that log.  The replication mux
-includes these cursors in its WAL-retention minimum
-(:meth:`repro.replication.mux.ReplicationMux.bind_cdc`), so retention can
-never truncate a record the stream has not seen -- a paused stream (e.g. a
-consumer catching up) pins the log instead of losing events, and
-:meth:`ChangeStream.resume` drains the buffered suffix through
-:meth:`~repro.storage.wal.WriteAheadLog.since`.
+Each tap is a :class:`~repro.storage.wal.WalTap`, whose cursor is the
+highest LSN the stream has seen on that log.  The log never truncates past
+an open tap's cursor, so a paused stream (e.g. a consumer catching up)
+pins the log instead of losing events, and :meth:`ChangeStream.resume`
+replays the suffix it missed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.storage.records import RecordVersion
-from repro.storage.wal import LogRecord, WriteOperation
+from repro.storage.wal import LogRecord, WalTap, WriteOperation
 
 
 @dataclass(frozen=True)
@@ -88,18 +83,6 @@ def replay_events(events, store) -> int:
     return applied
 
 
-class _Tap:
-    """One subscribed commit log (a member copy of one partition)."""
-
-    __slots__ = ("partition_index", "wal", "copy_name", "listener")
-
-    def __init__(self, partition_index: int, wal, copy_name: str, listener):
-        self.partition_index = partition_index
-        self.wal = wal
-        self.copy_name = copy_name
-        self.listener = listener
-
-
 class ChangeStream:
     """Per-partition ordered change events folded from WAL commit hooks."""
 
@@ -117,9 +100,7 @@ class ChangeStream:
         #: Latest folded ``(epoch, commit_seq)`` per partition (the dedupe
         #: line; epoch-aware because a promotion restarts commit numbering).
         self._last_position: Dict[int, Tuple[int, int]] = {}
-        self._taps: List[_Tap] = []
-        #: Tapped-LSN cursor per commit log, keyed by ``id(wal)``.
-        self._tapped_lsn: Dict[int, int] = {}
+        self._taps: List[WalTap] = []
         self._consumers: List[Callable[[ChangeEvent], None]] = []
         self._paused = False
         # Plain counters mirrored into metrics when bound; tests without a
@@ -135,30 +116,19 @@ class ChangeStream:
         self.metrics = metrics
 
     def tap(self, partition_index: int, copy) -> None:
-        """Subscribe one member copy's commit log (origin-filtered).
+        """Tap one member copy's log for the commits it made itself.
 
         The cursor starts at the log's current tail: the stream captures
         commits from the moment it is wired, which the deployment builder
         does before any subscriber is loaded.
         """
-        copy_name = copy.transactions.name
-        wal = copy.wal
-        tap = _Tap(partition_index, wal, copy_name, None)
-
-        def on_commit(record: LogRecord) -> None:
-            if self._paused:
-                return
-            self._ingest(tap, record)
-
-        tap.listener = on_commit
-        wal.subscribe(on_commit)
-        self._taps.append(tap)
-        self._tapped_lsn.setdefault(id(wal), wal.last_lsn)
+        self._taps.append(
+            copy.tap_local_commits(partial(self._ingest, partition_index)))
 
     def close(self) -> None:
-        """Unsubscribe every tap (the stream stops folding)."""
+        """Close every tap (the stream stops folding)."""
         for tap in self._taps:
-            tap.wal.unsubscribe(tap.listener)
+            tap.close()
         self._taps = []
 
     def subscribe(self, consumer: Callable[[ChangeEvent], None]) -> None:
@@ -168,16 +138,7 @@ class ChangeStream:
 
     # -- folding ----------------------------------------------------------------
 
-    def _ingest(self, tap: _Tap, record: LogRecord) -> None:
-        # The cursor advances for every record seen on the log -- filtered
-        # replication applies included -- because the stream has *processed*
-        # that LSN; retention pinning only needs unseen records kept.
-        key = id(tap.wal)
-        if record.lsn > self._tapped_lsn.get(key, 0):
-            self._tapped_lsn[key] = record.lsn
-        if record.origin != tap.copy_name:
-            return
-        partition = tap.partition_index
+    def _ingest(self, partition: int, record: LogRecord) -> None:
         last = self._last_position.get(partition, (0, 0))
         if record.position <= last:
             self.duplicates_skipped += 1
@@ -214,38 +175,26 @@ class ChangeStream:
         return self._paused
 
     def pause(self) -> None:
-        """Stop folding; cursors freeze, so retention pins the tapped logs."""
+        """Stop folding; the tap cursors freeze and pin the tapped logs."""
         self._paused = True
+        for tap in self._taps:
+            tap.paused = True
 
     def resume(self) -> None:
-        """Drain everything committed while paused, in log order per tap.
+        """Fold everything committed while paused, in log order per tap.
 
-        A gap -- the log's oldest retained record numbered past the cursor,
-        i.e. retention truncated records the stream never saw -- is counted
-        in ``cdc.gaps`` (``gap_records_lost``); with the mux's CDC-aware
-        retention bound this stays zero, which the property tests assert.
+        Records retention dropped before the stream saw them are counted
+        in ``cdc.gaps`` (``gap_records_lost``).  The tap pin keeps this at
+        zero; the counter is the safety check the property tests assert.
         """
         self._paused = False
         for tap in self._taps:
-            cursor = self._tapped_lsn.get(id(tap.wal), 0)
-            pending = tap.wal.since(cursor)
-            if pending and cursor > 0:
-                lost = pending[0].lsn - (cursor + 1)
-                if lost > 0:
-                    self.gap_records_lost += lost
-                    self._count("cdc.gaps", lost)
-            for record in pending:
-                self._ingest(tap, record)
+            lost = tap.resume()
+            if lost:
+                self.gap_records_lost += lost
+                self._count("cdc.gaps", lost)
 
-    # -- cursors / reading --------------------------------------------------------
-
-    def cursor_for(self, wal) -> Optional[int]:
-        """The tapped-LSN cursor of ``wal``, or ``None`` when untapped.
-
-        The replication mux calls this from its retention pass; ``None``
-        leaves that log unconstrained by the CDC plane.
-        """
-        return self._tapped_lsn.get(id(wal))
+    # -- reading -------------------------------------------------------------------
 
     def checkpoint(self, partition_index: int) -> int:
         """The highest folded ``commit_seq`` of one partition (0 when none)."""

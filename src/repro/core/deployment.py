@@ -16,6 +16,7 @@ tier, the storage elements the back tier, and the request pipeline
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.cluster.balancer import PointOfAccess
@@ -249,10 +250,6 @@ class DeploymentBuilder:
         # Recovery notifications re-arm stalled replication links exactly
         # when their endpoint comes back, instead of a cadence retry.
         self.replication_mux.bind_availability(availability_manager)
-        if change_stream is not None:
-            # WAL retention never truncates past the CDC plane's slowest
-            # tapped-LSN cursor.
-            self.replication_mux.bind_cdc(change_stream.cursor_for)
         self._build_points_of_access()
         placement_policy = self._build_placement_policy()
         return Deployment(
@@ -328,38 +325,26 @@ class DeploymentBuilder:
     def _build_catalog(self) -> DirectoryCatalog:
         """The DIT catalog, maintained from every partition copy's WAL.
 
-        Every member copy's log is subscribed, filtered to records the copy
-        itself committed (``record.origin`` equals the copy's own name):
-        replication applies preserve the originating master's name, so each
-        logical commit folds into the catalog exactly once -- and the wiring
-        keeps working across fail-over, when a promoted copy starts
-        committing under its own name.
+        Every member copy is tapped for its own commits
+        (:meth:`~repro.storage.storage_element.PartitionCopy.
+        tap_local_commits`), so each logical commit folds into the catalog
+        exactly once, across fail-over included.
         """
         from repro.ldap.schema import SubscriberSchema
         catalog = DirectoryCatalog(SubscriberSchema.catalog_view,
                                    SubscriberSchema.INDEXED_ATTRIBUTES)
-
-        def subscribe(partition_index: int, copy) -> None:
-            copy_name = copy.transactions.name
-
-            def on_commit(record) -> None:
-                if record.origin == copy_name:
-                    catalog.apply_commit(partition_index, record)
-
-            copy.wal.subscribe(on_commit)
-
         for partition_index, replica_set in self.replica_sets.items():
             for _element, copy in replica_set.members():
-                subscribe(partition_index, copy)
+                copy.tap_local_commits(
+                    partial(catalog.apply_commit, partition_index))
         return catalog
 
     def _build_cdc(self):
         """The CDC plane: change stream + audit history (``config.cdc``).
 
-        Taps every member copy's commit log exactly like the catalog does
-        (origin-filtered, so each logical commit folds once and the wiring
-        survives fail-over).  ``cdc=None`` builds nothing: no
-        subscriptions, no cursors, no retention pinning.
+        Taps every member copy for its own commits, exactly like the
+        catalog; a paused stream's taps pin WAL retention.  ``cdc=None``
+        builds nothing: no taps, no pins.
         """
         policy = self.config.cdc
         if policy is None:

@@ -161,8 +161,8 @@ class ClusterController:
                 continue
         if promotions:
             self.caches.invalidate_element(element_name)
-            # A new master means a new commit log to wake on and a new
-            # (master site, slave site) link for the partition's shipments.
+            # A new master means a new (master site, slave site) link for
+            # the partition's shipments.
             self.deployment.replication_mux.rebind()
             if self.membership is not None:
                 self.membership.register_promotions(element_name, promotions,

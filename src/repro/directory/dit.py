@@ -21,8 +21,8 @@ renumbering shows up loudly.
 
 :class:`DirectoryCatalog` combines the DIT with the attribute secondary
 indexes (:class:`~repro.directory.indexes.AttributeIndexSet`) and keeps both
-current from commit records -- the deployment subscribes it to every
-partition copy's WAL, filtered to locally-originated commits, so a CREATE,
+current from commit records -- the deployment taps every partition copy's
+WAL for the commits that copy made itself, so a CREATE,
 MODIFY or DELETE maintains the index incrementally on the commit hook
 instead of rebuilding anything.
 """

@@ -10,8 +10,8 @@ incidents at the same ticks -- a failing campaign is a replayable bug
 report, not an anecdote.
 
 While the campaign runs, an :class:`InvariantChecker` watches the
-deployment from below -- WAL commit hooks on every partition copy plus a
-periodic sweep -- and records violations of the safety properties the
+deployment from below -- a tap on every partition copy's own commits plus
+a periodic sweep -- and records violations of the safety properties the
 membership plane exists to guarantee:
 
 * **no split-brain writes** -- an origin commit by a copy that is not its
@@ -39,6 +39,7 @@ from repro.faults.failures import PartitionIncident, SiteDisaster
 from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.net.partition import NetworkPartition
 from repro.sim import Interrupt
+from repro.storage.wal import WalTap
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class InvariantChecker:
         self.split_brain_writes = 0
         self.acked_writes_lost = 0
         self.crash_durability_gap = 0
-        self._taps: List[Tuple[object, object]] = []
+        self._taps: List[WalTap] = []
         self._promotions_checked = 0
         self._running = False
         self._process = None
@@ -109,12 +110,7 @@ class InvariantChecker:
     # -- commit-time checks -----------------------------------------------------
 
     def _tap(self, index: int, replica_set, element_name: str) -> None:
-        copy = replica_set.copy_on(element_name)
-        origin = copy.transactions.name
-
         def on_commit(record) -> None:
-            if record.origin != origin:
-                return  # a replication/handoff apply, not a local commit
             self.origin_commits += 1
             if replica_set.master_element_name != element_name:
                 self.split_brain_writes += 1
@@ -129,12 +125,12 @@ class InvariantChecker:
                 self.acked[(index, operation.key)] = (record.position,
                                                       element_name)
 
-        copy.wal.subscribe(on_commit)
-        self._taps.append((copy.wal, on_commit))
+        self._taps.append(
+            replica_set.copy_on(element_name).tap_local_commits(on_commit))
 
     def close(self) -> None:
-        for wal, listener in self._taps:
-            wal.unsubscribe(listener)
+        for tap in self._taps:
+            tap.close()
         self._taps = []
 
     # -- the periodic sweep ------------------------------------------------------

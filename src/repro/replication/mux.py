@@ -8,9 +8,11 @@ network transfers, even though many of those streams travel the same
 ``(master site, slave site)`` backbone link.  :class:`ReplicationMux`
 collapses that fan-in:
 
-* **wake on commit** -- the mux subscribes to every current master copy's
-  commit log (:meth:`repro.storage.wal.WriteAheadLog.subscribe`); an idle
-  deployment schedules *zero* replication events;
+* **wake on commit** -- the mux taps the commit log of every member copy
+  of an attached channel's partition once (:meth:`repro.storage.wal.
+  WriteAheadLog.tap`) and arms the partition's links only for commits on
+  the copy that is master at that instant; an idle deployment schedules
+  *zero* replication events;
 * **ship-linger** -- a commit arms one shipping round for its link, delayed
   to the next multiple of ``ship_linger`` (the configured replication
   interval).  Aligning to the same grid the polling loops ticked on keeps
@@ -23,9 +25,10 @@ collapses that fan-in:
   ``frame_bytes`` once plus the per-record bytes, then applies per channel
   in commit order, exactly as the standalone channels would;
 * **fail-over re-binding** -- a promotion moves a partition's master to a
-  different element (and usually site), which changes both the commit log
-  to subscribe to and the link its shipments travel.  The lifecycle layer
-  calls :meth:`rebind` after promotions and recoveries; link membership is
+  different element (and usually site), which changes the link its
+  shipments travel.  The taps already cover every member copy, so the
+  lifecycle layer's :meth:`rebind` after promotions and recoveries only
+  retires armed rounds and re-arms links with backlog; link membership is
   recomputed from live channel state at every round, so a round armed just
   before a fail-over can never ship along a stale binding.
 
@@ -47,15 +50,15 @@ Three queue-health policies ride on the rounds:
   that grew past the limit is truncated through the *slowest shipped-LSN
   cursor* of its outgoing channels (capped at the durability watermark, so
   checkpoint/crash semantics are untouched), bounding log memory on long
-  runs without ever dropping an unshipped record.  A bound CDC stream
-  (:meth:`bind_cdc`) adds its tapped-LSN cursors to the same minimum, so
-  retention also never drops a record the change-data-capture plane has
-  not folded.
+  runs without ever dropping an unshipped record.  The log itself never
+  truncates past an open tap's cursor, so a paused change-data-capture
+  stream pins it too.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.errors import NetworkError
@@ -91,6 +94,10 @@ class ReplicationMux:
         self.wal_retention = wal_retention
         self.metrics = metrics
         self.channels: List[AsyncReplicationChannel] = []
+        #: Attached channels per partition (keyed by ``id(replica_set)``),
+        #: in ``channels`` order; the first attach of a partition taps
+        #: every member copy's log.
+        self._partition_channels: Dict[int, List[AsyncReplicationChannel]] = {}
         self.wakeups = 0
         self.shipments = 0
         self.records_shipped = 0
@@ -101,14 +108,9 @@ class ReplicationMux:
         #: Per-link rotation of the member scan under a shipment cap, so
         #: the budget is not always spent on the same first channels.
         self._scan_offset: Dict[Tuple, int] = {}
-        #: ``(wal, listener)`` pairs currently subscribed.
-        self._subscriptions: List[Tuple] = []
         #: The availability manager whose recovery notifications re-arm
         #: stalled links (``None`` falls back to cadence retries).
         self._availability = None
-        #: CDC cursor callback ``(wal) -> tapped LSN or None``; retention
-        #: never truncates past it (see :meth:`bind_cdc`).
-        self._cdc_cursor = None
         self._running = False
         #: Bumped by stop()/rebind(); an armed round whose generation is
         #: stale does nothing when it fires.
@@ -140,20 +142,6 @@ class ReplicationMux:
         self._availability = availability_manager
         availability_manager.subscribe_recovery(self._on_recovery)
 
-    def bind_cdc(self, cursor_for) -> None:
-        """Pin WAL retention behind the CDC plane's tapped-LSN cursors.
-
-        ``cursor_for(wal)`` returns the change stream's highest processed
-        LSN on that log (``None`` when the log is untapped).  With the
-        binding in place, :meth:`_apply_retention` includes the cursor in
-        its safe-LSN minimum, so retention can never drop a record the
-        stream has not folded -- a paused stream (a consumer catching up)
-        pins the log instead of losing events.  Unbound (the default, and
-        whenever ``UDRConfig.cdc`` is ``None``) retention behaves exactly
-        as before.
-        """
-        self._cdc_cursor = cursor_for
-
     def _on_recovery(self, _component_name: str) -> None:
         if not self._running:
             return
@@ -170,72 +158,57 @@ class ReplicationMux:
         """Take ownership of one channel (the channel's own process stays
         stopped; the mux drives its primitives)."""
         self.channels.append(channel)
+        replica_set = channel.replica_set
+        channels = self._partition_channels.get(id(replica_set))
+        if channels is None:
+            channels = self._partition_channels[id(replica_set)] = []
+            for element_name in replica_set.member_names:
+                replica_set.copy_on(element_name).wal.tap(partial(
+                    self._on_commit, replica_set, element_name, channels))
+        channels.append(channel)
         if self._running:
             self.rebind()
+
+    def _on_commit(self, replica_set, element_name: str,
+                   channels: List[AsyncReplicationChannel], _record) -> None:
+        if not self._running or \
+                replica_set.master_element_name != element_name:
+            return
+        delay = self._grid_delay()
+        for channel in channels:
+            self._arm(channel.link_sites(), delay)
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self._rebuild()
+        self._arm_backlog()
 
     def stop(self) -> None:
         if not self._running:
             return
         self._running = False
         self._generation += 1
-        self._unsubscribe_all()
         self._armed.clear()
 
     def rebind(self) -> None:
-        """Recompute master-log subscriptions and re-arm links with backlog.
+        """Retire armed rounds and re-arm every link with backlog.
 
         Called by the lifecycle layer after fail-over promotions and
-        element recoveries: a new master means a new commit log to listen
-        on and a new site pair for the partition's shipments.
+        element recoveries: a new master means a new site pair for the
+        partition's shipments (its log is already tapped).
         """
         if not self._running:
             return
         self._generation += 1
         self._armed.clear()
-        self._rebuild()
+        self._arm_backlog()
 
-    def _rebuild(self) -> None:
-        self._unsubscribe_all()
-        by_wal: Dict[int, Tuple] = {}
-        for channel in self.channels:
-            master_name = channel.replica_set.master_element_name
-            if master_name is None or \
-                    master_name == channel.slave_element_name:
-                continue
-            wal = channel.replica_set.copy_on(master_name).wal
-            entry = by_wal.get(id(wal))
-            if entry is None:
-                entry = (wal, [])
-                by_wal[id(wal)] = entry
-            entry[1].append(channel)
-        for wal, channels in by_wal.values():
-            listener = self._make_listener(channels)
-            wal.subscribe(listener)
-            self._subscriptions.append((wal, listener))
-        # Arm a round for every link already holding backlog (start after
-        # traffic, fail-over hand-off, element recovery).
+    def _arm_backlog(self) -> None:
+        # Start after traffic, fail-over hand-off, element recovery.
         for channel in self.channels:
             if channel.has_backlog():
                 self._arm(channel.link_sites(), self._grid_delay())
-
-    def _unsubscribe_all(self) -> None:
-        for wal, listener in self._subscriptions:
-            wal.unsubscribe(listener)
-        self._subscriptions = []
-
-    def _make_listener(self, channels: List[AsyncReplicationChannel]):
-        def on_commit(_record) -> None:
-            if not self._running:
-                return
-            for channel in channels:
-                self._arm(channel.link_sites(), self._grid_delay())
-        return on_commit
 
     # -- rounds ------------------------------------------------------------------
 
@@ -369,26 +342,20 @@ class ReplicationMux:
         """
         if self.wal_retention is None:
             return
-        by_wal: Dict[int, Tuple] = {}
-        for channel in self.channels:
-            master_name = channel.replica_set.master_element_name
-            if master_name is None or \
-                    master_name == channel.slave_element_name:
+        for channels in self._partition_channels.values():
+            replica_set = channels[0].replica_set
+            master_name = replica_set.master_element_name
+            if master_name is None:
                 continue
-            wal = channel.replica_set.copy_on(master_name).wal
-            entry = by_wal.get(id(wal))
-            if entry is None:
-                entry = (wal, [])
-                by_wal[id(wal)] = entry
-            entry[1].append(channel.shipped_lsn(master_name))
-        for wal, cursors in by_wal.values():
-            if len(wal) <= self.wal_retention or not cursors:
+            wal = replica_set.copy_on(master_name).wal
+            if len(wal) <= self.wal_retention:
+                continue
+            cursors = [channel.shipped_lsn(master_name)
+                       for channel in channels
+                       if channel.slave_element_name != master_name]
+            if not cursors:
                 continue
             safe_lsn = min(min(cursors), wal.durable_lsn)
-            if self._cdc_cursor is not None:
-                tapped = self._cdc_cursor(wal)
-                if tapped is not None:
-                    safe_lsn = min(safe_lsn, tapped)
             if safe_lsn <= 0:
                 continue
             dropped = wal.truncate_through(safe_lsn)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim import units
 from repro.storage.checkpoint import CheckpointPolicy, Checkpointer
@@ -30,7 +30,7 @@ from repro.storage.errors import StorageElementUnavailable
 from repro.storage.isolation import IsolationLevel
 from repro.storage.partitioning import DataPartition
 from repro.storage.transactions import TransactionManager
-from repro.storage.wal import LogRecord, WriteAheadLog
+from repro.storage.wal import LogRecord, WalTap, WriteAheadLog
 
 
 class ReplicaRole(enum.Enum):
@@ -109,6 +109,18 @@ class PartitionCopy:
     @property
     def is_primary(self) -> bool:
         return self.role is ReplicaRole.PRIMARY
+
+    def tap_local_commits(self, listener: Callable[[LogRecord], None]
+                          ) -> WalTap:
+        """Tap this copy's log for the commits this copy itself made.
+
+        Replication applies keep the originating master's name as their
+        ``origin``, so a follower that taps every member copy of a
+        partition this way sees each logical commit exactly once -- on the
+        copy that made it.  The wiring needs no change on fail-over: a
+        promoted copy's own commits carry its own name.
+        """
+        return self.wal.tap(listener, origin=self.transactions.name)
 
     def promote(self) -> None:
         """Turn a secondary copy into the primary (failover)."""

@@ -11,6 +11,16 @@ in the paper's architecture:
   serialisation order the paper requires (section 3.2);
 * it is the **audit trail** used by the consistency-restoration process after
   a multi-master partition incident (section 5).
+
+Everything else that follows a log -- the DIT catalog, the CDC change
+stream, the chaos invariant checker and the replication mux -- does so
+through one primitive, :meth:`WriteAheadLog.tap`.  A :class:`WalTap` runs
+its listener synchronously after every append (optionally only for records
+of one origin) and keeps a cursor, ``lsn``: the highest LSN the tap has
+seen, filtered records included.  A paused tap stops both, and because
+:meth:`WriteAheadLog.truncate_through` never cuts past the smallest cursor
+of the open taps, a paused follower pins the log instead of losing
+records; :meth:`WalTap.resume` replays what it missed.
 """
 
 from __future__ import annotations
@@ -88,6 +98,49 @@ class LogRecord:
                 f"keys={list(self.keys)}>")
 
 
+class WalTap:
+    """One follower of a commit log: a listener, a cursor and a pin.
+
+    ``lsn`` is the highest LSN the tap has seen; it advances on every
+    append while the tap is not ``paused``, whether or not the record
+    passes the ``origin`` filter.  While the tap is open the log never
+    truncates past ``lsn``.
+    """
+
+    __slots__ = ("wal", "listener", "origin", "lsn", "paused")
+
+    def __init__(self, wal: "WriteAheadLog",
+                 listener: Callable[[LogRecord], None],
+                 origin: Optional[str] = None):
+        self.wal = wal
+        self.listener = listener
+        self.origin = origin
+        self.lsn = wal.last_lsn
+        self.paused = False
+
+    def _deliver(self, record: LogRecord) -> None:
+        self.lsn = record.lsn
+        if self.origin is None or record.origin == self.origin:
+            self.listener(record)
+
+    def resume(self) -> int:
+        """Unpause and replay, in LSN order, every record missed while paused.
+
+        Returns how many missed records truncation dropped before the
+        replay.  The pin keeps that at 0; the count is the safety check.
+        """
+        self.paused = False
+        lost = max(0, self.wal.truncated_through - self.lsn)
+        for record in self.wal.since(self.lsn):
+            self._deliver(record)
+        return lost
+
+    def close(self) -> None:
+        """Stop notifying the listener and release the pin (idempotent)."""
+        if self in self.wal._taps:
+            self.wal._taps.remove(self)
+
+
 @dataclass
 class WriteAheadLog:
     """Append-only commit log with a durability watermark."""
@@ -96,10 +149,10 @@ class WriteAheadLog:
     _records: List[LogRecord] = field(default_factory=list)
     _durable_lsn: int = 0
     _next_lsn: int = 1
-    #: Synchronous callbacks run after every append; this is the commit hook
-    #: the replication multiplexer wakes on (instead of polling the log).
-    _append_listeners: List[Callable[[LogRecord], None]] = field(
-        default_factory=list, repr=False, compare=False)
+    #: Highest LSN dropped by :meth:`truncate_through` (0 = none).
+    truncated_through: int = field(default=0, init=False)
+    _taps: List[WalTap] = field(default_factory=list, init=False,
+                                repr=False, compare=False)
 
     # -- append ---------------------------------------------------------------
 
@@ -138,21 +191,32 @@ class WriteAheadLog:
         self._notify(copy)
         return copy
 
-    # -- commit listeners -------------------------------------------------------
+    # -- taps -----------------------------------------------------------------
 
-    def subscribe(self, listener: Callable[[LogRecord], None]) -> None:
-        """Run ``listener(record)`` after every append (idempotent)."""
-        if listener not in self._append_listeners:
-            self._append_listeners.append(listener)
+    def tap(self, listener: Callable[[LogRecord], None],
+            origin: Optional[str] = None) -> WalTap:
+        """Run ``listener(record)`` after every append from now on.
 
-    def unsubscribe(self, listener: Callable[[LogRecord], None]) -> None:
-        """Stop notifying ``listener`` (no-op when not subscribed)."""
-        if listener in self._append_listeners:
-            self._append_listeners.remove(listener)
+        With ``origin`` set, only records whose ``origin`` equals it reach
+        the listener; the tap's cursor still advances past the others.
+        """
+        tap = WalTap(self, listener, origin)
+        self._taps.append(tap)
+        return tap
+
+    @property
+    def taps(self) -> Tuple[WalTap, ...]:
+        return tuple(self._taps)
+
+    @property
+    def pinned_lsn(self) -> Optional[int]:
+        """The smallest cursor of the open taps (``None`` when untapped)."""
+        return min((tap.lsn for tap in self._taps), default=None)
 
     def _notify(self, record: LogRecord) -> None:
-        for listener in tuple(self._append_listeners):
-            listener(record)
+        for tap in tuple(self._taps):
+            if not tap.paused:
+                tap._deliver(record)
 
     # -- reading ----------------------------------------------------------------
 
@@ -172,12 +236,13 @@ class WriteAheadLog:
     def since(self, lsn: int) -> List[LogRecord]:
         """Records with LSN strictly greater than ``lsn`` (oldest first).
 
-        O(result) rather than O(log length): LSNs are dense and ascending
-        (append numbers sequentially, truncation drops a prefix, a crash
-        drops a suffix), so the cut-off is found by index arithmetic.  The
-        replication channels call this on every shipping round and every
-        ``lag()`` sample, which made the old full scan the dominant cost of
-        metrics sampling on large logs.
+        O(result) rather than O(log length) where the retained LSNs are
+        dense (append numbers sequentially, truncation drops a prefix), so
+        the cut-off is found by index arithmetic, checked against the
+        record it lands on; past a crash's hole it falls back to a scan.
+        The replication channels call this on every shipping round and
+        every ``lag()`` sample, which made the old full scan the dominant
+        cost of metrics sampling on large logs.
         """
         records = self._records
         if not records or lsn >= records[-1].lsn:
@@ -188,7 +253,8 @@ class WriteAheadLog:
         index = lsn - first_lsn + 1
         if 0 < index <= len(records) and records[index - 1].lsn == lsn:
             return records[index:]
-        # Defensive fallback for a non-dense log (not produced today).
+        # A crash drops the volatile suffix but numbering carries on, so
+        # an append after it leaves a hole (LSNs 1, 2, 3, 6); scan past it.
         return [record for record in records if record.lsn > lsn]
 
     def record_at(self, lsn: int) -> Optional[LogRecord]:
@@ -219,10 +285,20 @@ class WriteAheadLog:
         return self.since(self._durable_lsn)
 
     def truncate_through(self, lsn: int) -> int:
-        """Drop records with LSN <= ``lsn`` (already checkpointed); returns count."""
-        before = len(self._records)
-        self._records = [record for record in self._records if record.lsn > lsn]
-        return before - len(self._records)
+        """Drop records with LSN <= ``lsn`` (already checkpointed); returns count.
+
+        Never cuts past :attr:`pinned_lsn`: a record an open tap has not
+        seen stays in the log.
+        """
+        pinned = self.pinned_lsn
+        if pinned is not None and pinned < lsn:
+            lsn = pinned
+        kept = [record for record in self._records if record.lsn > lsn]
+        dropped = len(self._records) - len(kept)
+        if dropped:
+            self.truncated_through = self._records[dropped - 1].lsn
+            self._records = kept
+        return dropped
 
     def crash(self) -> List[LogRecord]:
         """Simulate losing the volatile tail of the log; returns what was lost."""

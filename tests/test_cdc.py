@@ -6,8 +6,9 @@ Pins the PR 8 contracts:
   exactly once (origin filter + per-partition ``commit_seq`` dedupe), in
   the master's serialisation order, across replication applies, re-applied
   records and fail-over;
-* ``pause``/``resume`` loses nothing (the mux's retention bound pins the
-  tapped logs, see ``test_mux_policies``) and drains in order;
+* ``pause``/``resume`` loses nothing (a paused tap pins its log, see
+  ``test_mux_policies``), drains in order, and does not count a crash's
+  lost tail as a retention gap;
 * **replay == state**: replaying a partition's event stream -- full, or
   the suffix past any checkpoint -- into a store reproduces the master
   copy's exact live state (hypothesis property);
@@ -119,6 +120,26 @@ class TestChangeStream:
         assert [e.commit_seq for e in stream.events(0)] == [1, 2, 3, 4]
         assert stream.gap_records_lost == 0
         assert stream.duplicates_skipped == 0
+
+    def test_crash_while_paused_is_not_a_retention_gap(self):
+        """Regression: a crash drops the volatile tail but LSN numbering
+        carries on, so the next commit leaves a hole in the log.  That hole
+        is not retention dropping records the stream never saw."""
+        _, _, _, elements, replica_set = build_replicated_partition()
+        stream = tapped_stream(replica_set)
+        master_write(replica_set, "a", {"v": 1})
+        replica_set.master_copy.checkpointer.checkpoint()
+        stream.pause()
+        master_write(replica_set, "b", {"v": 2})
+        master_write(replica_set, "c", {"v": 3})
+        elements[0].crash()
+        elements[0].recover()
+        master_write(replica_set, "d", {"v": 4})
+        assert [r.lsn for r in replica_set.master_copy.wal.records] == \
+            [1, 4]
+        stream.resume()
+        assert stream.gap_records_lost == 0
+        assert [e.keys for e in stream.events(0)] == [("a",), ("d",)]
 
     def test_consumers_run_per_event(self):
         _, _, _, _, replica_set = build_replicated_partition()

@@ -136,3 +136,53 @@ class TestConfigValidation:
             UDRConfig(location_cache_capacity=-1)
         with pytest.raises(ValueError):
             UDRConfig(metrics_batch_size=0)
+
+
+class TestCommitLogTaps:
+    """Every log follower taps each copy once, at build time."""
+
+    def test_fail_over_keeps_taps_and_folds_once(self):
+        from repro.core.config import CdcPolicy
+        from tests.conftest import build_udr
+
+        udr, _ = build_udr(UDRConfig(seed=3, replication_factor=3,
+                                     cdc=CdcPolicy()),
+                           subscribers=20)
+        replica_set = udr.replica_sets[0]
+
+        def taps_per_wal():
+            return {copy.wal.name: len(copy.wal.taps)
+                    for replica_set in udr.replica_sets.values()
+                    for _, copy in replica_set.members()}
+
+        before = taps_per_wal()
+        # Catalog, change stream and mux: three followers per log.
+        assert set(before.values()) == {3}
+        for _ in range(3):
+            assert udr.fail_over(replica_set.master_element_name)
+        assert taps_per_wal() == before
+        udr.sim.run_for(1.0)  # drain the hand-off shipping rounds
+
+        master = replica_set.master_copy
+        key = next(iter(master.store.keys()))
+        upserts, armed = [], []
+        catalog_upsert, mux_arm = udr.catalog.upsert, udr.replication_mux._arm
+        udr.catalog.upsert = lambda *args: upserts.append(args[0]) or \
+            catalog_upsert(*args)
+        udr.replication_mux._arm = lambda key, delay: armed.append(key) or \
+            mux_arm(key, delay)
+        folded = udr.change_stream.events_folded
+        tx = master.transactions.begin()
+        tx.write(key, dict(master.store.read_committed(key),
+                           servingMsc="msc-after-failover"))
+        tx.commit(timestamp=udr.sim.now)
+
+        assert upserts == [key]
+        assert udr.change_stream.events_folded == folded + 1
+        # One mux wake: each live link of the partition armed once (the
+        # promoted copy's own channel is inactive and arms nothing).
+        live_links = [channel.link_sites() for channel in udr.channels
+                      if channel.replica_set is replica_set
+                      and channel.link_sites() is not None]
+        assert live_links
+        assert [key for key in armed if key is not None] == live_links

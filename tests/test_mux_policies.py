@@ -247,7 +247,7 @@ class TestShipmentBackpressure:
 
 
 class TestCdcRetention:
-    """PR 8: the CDC plane's tapped-LSN cursors join the retention minimum."""
+    """A paused CDC stream's WAL taps pin retention through the log itself."""
 
     def build_cdc_link(self, **mux_kwargs):
         from repro.cdc import ChangeStream
@@ -256,7 +256,6 @@ class TestCdcRetention:
         stream = ChangeStream()
         for _, copy in replica_set.members():
             stream.tap(0, copy)
-        mux.bind_cdc(stream.cursor_for)
         return sim, network, elements, replica_set, channel, mux, stream
 
     def test_paused_stream_pins_retention(self):
@@ -274,7 +273,7 @@ class TestCdcRetention:
         assert mux.wal_records_truncated >= 6, \
             "a live stream (cursor at the tail) does not block retention"
         stream.pause()
-        frozen = stream.cursor_for(wal)
+        frozen = wal.pinned_lsn
         for index in range(6):
             master_write(replica_set, f"p-{index}", {"v": index},
                          timestamp=sim.now)
@@ -303,7 +302,7 @@ class TestCdcRetention:
         replica_set.master_copy.checkpointer.checkpoint(timestamp=sim.now)
         master_write(replica_set, "k-8", {"v": 8}, timestamp=sim.now)
         sim.run(until=0.4)
-        assert stream.cursor_for(wal) == wal.last_lsn
+        assert wal.pinned_lsn == wal.last_lsn
         assert mux.wal_records_truncated >= 8
         assert stream.checkpoint(0) == 9
 
@@ -341,7 +340,7 @@ class TestCdcRetention:
                     sim.run(until=sim.now + 0.2)
                 # The invariant: LSNs are dense from 1, one per write, so
                 # the log must still hold every record past the cursor.
-                cursor = stream.cursor_for(wal)
+                cursor = wal.pinned_lsn
                 assert len(wal.since(cursor)) == writes - cursor
             stream.resume()
             assert stream.gap_records_lost == 0
@@ -352,13 +351,17 @@ class TestCdcRetention:
 
     def test_cdc_off_leaves_no_trace(self):
         """Regression: without ``UDRConfig.cdc`` nothing of the CDC plane
-        exists -- no taps, no cursor bound into retention, no counters."""
+        exists -- no stream taps, nothing pinning retention, no counters."""
         udr, _ = build_udr(UDRConfig(seed=5, wal_retention=10),
                            subscribers=10)
         assert udr.change_stream is None
         assert udr.history is None
         assert udr.reconciler is None
-        assert udr.replication_mux._cdc_cursor is None
+        for replica_set in udr.replica_sets.values():
+            for _, copy in replica_set.members():
+                # The catalog's own-commit tap and the mux's tap, no more.
+                assert [tap.origin for tap in copy.wal.taps] == \
+                    [copy.transactions.name, None]
         names = udr.metrics.names()["counters"]
         assert not any(name.startswith(("cdc.", "reconciliation."))
                        for name in names)

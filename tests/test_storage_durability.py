@@ -106,21 +106,100 @@ class TestWriteAheadLog:
         assert [r.lsn for r in wal.since(2)] == [3, 4]
         assert wal.since(4) == []
 
-    def test_append_listeners_fire_and_unsubscribe(self):
-        """The commit hook the replication mux wakes on: every append (own
-        commit or replication apply) notifies subscribers exactly once."""
+    def test_since_across_a_crash_hole(self):
+        """A crash drops the volatile suffix but numbering carries on, so
+        the next append leaves a hole in the LSNs: [1, 2, 3, 6]."""
+        _, wal, manager, _ = make_copy()
+        for i in range(5):
+            commit_write(manager, f"k{i}", {"v": i})
+        wal.mark_durable(3)
+        wal.crash()
+        commit_write(manager, "after", {"v": 6})
+        assert [r.lsn for r in wal.records] == [1, 2, 3, 6]
+        assert [r.lsn for r in wal.since(0)] == [1, 2, 3, 6]
+        assert [r.lsn for r in wal.since(2)] == [3, 6]
+        assert [r.lsn for r in wal.since(3)] == [6]
+        assert [r.lsn for r in wal.since(4)] == [6]
+        assert [r.lsn for r in wal.since(5)] == [6]
+        assert wal.since(6) == []
+        assert wal.since(7) == []
+
+
+class TestWalTap:
+    """The one commit-log follower primitive: listener, cursor and pin."""
+
+    def test_tap_sees_every_append_until_closed(self):
         _, wal, manager, _ = make_copy()
         seen = []
-        wal.subscribe(seen.append)
-        wal.subscribe(seen.append)  # idempotent
+        tap = wal.tap(seen.append)
+        assert tap.lsn == 0 and not tap.paused
         record = commit_write(manager, "a", {"v": 1})
         assert seen == [record]
         copy = wal.append_record(record)
         assert seen == [record, copy]
-        wal.unsubscribe(seen.append)
+        assert tap.lsn == copy.lsn
+        tap.close()
         commit_write(manager, "b", {"v": 2})
         assert len(seen) == 2
-        wal.unsubscribe(seen.append)  # no-op when absent
+        assert tap.lsn == copy.lsn
+        tap.close()  # idempotent
+        assert wal.taps == ()
+
+    def test_cursor_starts_at_the_tail(self):
+        _, wal, manager, _ = make_copy()
+        for i in range(3):
+            commit_write(manager, f"k{i}", {"v": i})
+        assert wal.tap(lambda record: None).lsn == 3
+
+    def test_origin_filter_still_advances_the_cursor(self):
+        _, wal, manager, _ = make_copy()
+        seen = []
+        tap = wal.tap(seen.append, origin="copy")
+        own = commit_write(manager, "a", {"v": 1})
+        foreign = wal.append(99, 1, (), origin="elsewhere")
+        assert seen == [own]
+        assert tap.lsn == foreign.lsn
+
+    def test_paused_tap_pins_truncation(self):
+        _, wal, manager, _ = make_copy()
+        commit_write(manager, "a", {"v": 1})
+        seen = []
+        tap = wal.tap(seen.append)
+        tap.paused = True
+        for i in range(3):
+            commit_write(manager, f"k{i}", {"v": i})
+        wal.mark_durable(wal.last_lsn)
+        assert wal.pinned_lsn == 1
+        assert wal.truncate_through(wal.last_lsn) == 1
+        assert [r.lsn for r in wal.records] == [2, 3, 4]
+        assert wal.truncated_through == 1
+        assert seen == [] and tap.lsn == 1
+        assert tap.resume() == 0
+        assert [r.lsn for r in seen] == [2, 3, 4]
+        assert tap.lsn == 4
+        assert wal.truncate_through(wal.last_lsn) == 3
+
+    def test_close_releases_the_pin(self):
+        _, wal, manager, _ = make_copy()
+        tap = wal.tap(lambda record: None)
+        tap.paused = True
+        for i in range(3):
+            commit_write(manager, f"k{i}", {"v": i})
+        assert wal.truncate_through(3) == 0
+        tap.close()
+        assert wal.pinned_lsn is None
+        assert wal.truncate_through(3) == 3
+
+    def test_resume_reports_records_lost_to_truncation_not_to_a_crash(self):
+        _, wal, manager, _ = make_copy()
+        tap = wal.tap(lambda record: None)
+        tap.paused = True
+        commit_write(manager, "a", {"v": 1})
+        commit_write(manager, "b", {"v": 2})
+        wal.crash()  # nothing durable: both records are gone
+        commit_write(manager, "c", {"v": 3})
+        assert tap.resume() == 0
+        assert tap.lsn == 3
 
 
 class TestCheckpointPolicy:
