@@ -3,6 +3,8 @@
 Usage::
 
     python scripts/check_work_counters.py           # compare, exit 1 on drift
+    python scripts/check_work_counters.py --workload fe-read-mostly
+                                                    # compare one workload
     python scripts/check_work_counters.py --write   # regenerate the file
 
 Runs ``python3 perfbench/run.py --workload W --seed 3 --seconds 2
@@ -11,8 +13,11 @@ counters in :data:`COUNTERS` with ``scripts/work_counters.json``.  These
 counters are simulation facts -- result digest, operations, sim events,
 transfers, commits, WAL appends, waves and per-op work counts -- so they
 repeat exactly on any machine; wall-clock metrics are not compared.  Any
-difference fails.  A change that moves a counter on purpose regenerates
-the file with ``--write`` and says why.
+difference fails.  ``--workload NAME`` (repeatable) measures and compares
+only the named workloads, for a quick local check; ``--write`` always
+measures every workload, so the committed file is regenerated whole.  A
+change that moves a counter on purpose regenerates the file with
+``--write`` and says why.
 """
 
 import argparse
@@ -76,9 +81,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--write", action="store_true",
                         help=f"rewrite {COUNTERS_FILE.relative_to(ROOT)}")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="compare only this workload (repeatable)")
     args = parser.parse_args(argv)
+    names = workloads()
+    if args.workload:
+        if args.write:
+            parser.error("--write regenerates every workload; drop "
+                         "--workload")
+        unknown = sorted(set(args.workload) - set(names))
+        if unknown:
+            parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(names)}")
+        names = [name for name in names if name in args.workload]
     measured = {}
-    for workload in workloads():
+    for workload in names:
         print(f"measuring {workload} (seed {SEED}, traced)", flush=True)
         measured[workload] = measure(workload)
     if args.write:
@@ -86,7 +103,9 @@ def main(argv=None):
                                             sort_keys=True) + "\n")
         print(f"wrote {COUNTERS_FILE.relative_to(ROOT)}")
         return 0
-    drift = differences(json.loads(COUNTERS_FILE.read_text()), measured)
+    committed = json.loads(COUNTERS_FILE.read_text())
+    drift = differences({name: committed[name] for name in names
+                         if name in committed}, measured)
     for line in drift:
         print(line)
     if drift:

@@ -89,6 +89,22 @@ from repro.core.config import (
 from repro.core.pipeline import BATCH_LINGER_TICK, BatchItem, OperationPipeline
 from repro.ldap.operations import LdapRequest, LdapResponse, ResultCode
 from repro.metrics.collector import MetricsRegistry
+from repro.sim import Event
+
+
+class _WaveResponse(Event):
+    """The shared wake-up of one source's waiters (see
+    :meth:`BatchDispatcher.response_event`); ``repr`` formats its
+    ``wave-response:<source>`` label only when it is shown."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, sim, source):
+        Event.__init__(self, sim)
+        self.source = source
+
+    def _label(self) -> str:
+        return f"wave-response:{self.source}"
 
 
 class DispatchTicket:
@@ -359,7 +375,7 @@ class BatchDispatcher:
         on the fresh event."""
         event = self._source_events.get(source)
         if event is None or event.triggered:
-            event = self.sim.event(f"wave-response:{source}")
+            event = _WaveResponse(self.sim, source)
             self._source_events[source] = event
         return event
 

@@ -7,7 +7,7 @@ created with :meth:`Simulation.process` and advance by yielding events.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
@@ -94,7 +94,7 @@ class Simulation:
                   priority: int = PRIORITY_NORMAL) -> None:
         """Insert a triggered event into the queue ``delay`` from now."""
         self._sequence += 1
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, self._sequence, event))
 
     # -- execution -----------------------------------------------------------
@@ -114,30 +114,42 @@ class Simulation:
         instead of carrying every dead entry to its original fire time).
         A cancelled event never advances the clock and never runs
         callbacks.
+
+        The per-event loops call this only when it can have work: when
+        ``_cancelled_scheduled`` is non-zero or the heap top is cancelled.
+        Both tests are needed, because an event cancelled while still
+        pending is scheduled already cancelled and never counted.
+        Compaction rewrites the heap list in place, so those loops may hold
+        on to ``self._queue``.
         """
         queue = self._queue
         if self._cancelled_scheduled > 32 and \
                 self._cancelled_scheduled * 2 > len(queue):
-            self._queue = [entry for entry in queue
-                           if not entry[3].cancelled]
-            heapq.heapify(self._queue)
+            queue[:] = [entry for entry in queue if not entry[3].cancelled]
+            heapify(queue)
             self._cancelled_scheduled = 0
             return
         while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)
+            heappop(queue)
             if self._cancelled_scheduled > 0:
                 self._cancelled_scheduled -= 1
 
     def step(self) -> None:
         """Process the single next (non-cancelled) event.
 
+        This is the one per-event entry point: :meth:`run` and
+        :meth:`run_until_triggered` dispatch every event through it, and
+        the benchmark's tracer counts its calls as ``sim.events``.
+
         Raises
         ------
         IndexError
             If the queue is empty.
         """
-        self._prune_cancelled()
-        when, _priority, _seq, event = heapq.heappop(self._queue)
+        queue = self._queue
+        if self._cancelled_scheduled or queue and queue[0][3].cancelled:
+            self._prune_cancelled()
+        when, _priority, _seq, event = heappop(queue)
         self._now = when
         event._process()
 
@@ -152,11 +164,13 @@ class Simulation:
         if until is not None and until < self._now:
             raise ValueError(
                 f"cannot run to {until}: simulation time is already {self._now}")
-        while self._queue:
-            self._prune_cancelled()
-            if not self._queue:
-                break
-            if until is not None and self._queue[0][0] > until:
+        queue = self._queue
+        while queue:
+            if self._cancelled_scheduled or queue[0][3].cancelled:
+                self._prune_cancelled()
+                if not queue:
+                    break
+            if until is not None and queue[0][0] > until:
                 break
             self.step()
         if until is not None:
@@ -181,9 +195,13 @@ class Simulation:
         if deadline < self._now:
             raise ValueError(
                 f"cannot run to {limit}: simulation time is already {self._now}")
-        while not event.triggered and self._queue:
-            self._prune_cancelled()
-            if not self._queue or self._queue[0][0] > deadline:
+        queue = self._queue
+        while not event.triggered and queue:
+            if self._cancelled_scheduled or queue[0][3].cancelled:
+                self._prune_cancelled()
+                if not queue:
+                    break
+            if queue[0][0] > deadline:
                 break
             self.step()
         return self._now

@@ -10,6 +10,11 @@ events; when a yielded event is processed the generator is resumed with the
 event's value (or the event's exception is thrown into it).  A process is
 itself an event that triggers when its generator finishes, which is what makes
 ``yield sim.process(...)`` composition work.
+
+Every simulated hop is one event, so the per-event path is kept lean: the
+classes are slotted, default labels are formatted only by ``repr``, and hot
+state checks compare ``_status`` with the module aliases below instead of
+going through the ``triggered``/``processed`` properties.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ class EventStatus(enum.Enum):
     PROCESSED = "processed"
 
 
+_PENDING = EventStatus.PENDING
+_TRIGGERED = EventStatus.TRIGGERED
+_PROCESSED = EventStatus.PROCESSED
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -50,8 +60,13 @@ class Event:
     sim:
         The owning :class:`repro.sim.engine.Simulation`.
     name:
-        Optional label used in ``repr`` and error messages.
+        Optional label used in ``repr`` and error messages.  Without one,
+        ``repr`` falls back to :meth:`_label`, which subclasses override to
+        format a default label only when it is shown.
     """
+
+    __slots__ = ("sim", "name", "callbacks", "_value", "_exception",
+                 "_status", "defused", "cancelled")
 
     def __init__(self, sim, name: Optional[str] = None):
         self.sim = sim
@@ -59,7 +74,7 @@ class Event:
         self.callbacks: List[Callable[["Event"], None]] = []
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._status = EventStatus.PENDING
+        self._status = _PENDING
         self.defused = False
         self.cancelled = False
 
@@ -112,7 +127,7 @@ class Event:
         which becomes stale whenever a wave fills before its deadline
         fires.  Cancelling an already-processed event is a no-op.
         """
-        if not self.cancelled and self.triggered and not self.processed:
+        if not self.cancelled and self._status is _TRIGGERED:
             self.sim._note_cancelled()
         self.cancelled = True
         return self
@@ -131,12 +146,12 @@ class Event:
 
     def _trigger(self, value: Any = None,
                  exception: Optional[BaseException] = None) -> None:
-        if self.triggered:
+        if self._status is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
         self._exception = exception
-        self._status = EventStatus.TRIGGERED
-        self.sim._schedule(self, delay=0.0)
+        self._status = _TRIGGERED
+        self.sim._schedule(self, 0.0)
 
     # -- callbacks ----------------------------------------------------------
 
@@ -147,14 +162,14 @@ class Event:
         immediately, which lets late joiners observe past events without
         racing the scheduler.
         """
-        if self.processed:
+        if self._status is _PROCESSED:
             callback(self)
         else:
             self.callbacks.append(callback)
 
     def _process(self) -> None:
         """Run callbacks; called by the simulation engine."""
-        self._status = EventStatus.PROCESSED
+        self._status = _PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
@@ -163,23 +178,44 @@ class Event:
             # letting it vanish.
             raise self._exception
 
+    def _label(self) -> str:
+        """The label ``repr`` shows when the event was given no name."""
+        return self.__class__.__name__
+
     def __repr__(self) -> str:
-        label = self.name or self.__class__.__name__
-        return f"<{label} status={self._status.value}>"
+        return f"<{self.name or self._label()} status={self._status.value}>"
 
 
 class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim, delay: float, value: Any = None,
                  name: Optional[str] = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim, name=name or f"Timeout({delay})")
+        Event.__init__(self, sim, name)
         self.delay = delay
         self._value = value
-        self._status = EventStatus.TRIGGERED
-        sim._schedule(self, delay=delay)
+        self._status = _TRIGGERED
+        sim._schedule(self, delay)
+
+    def _label(self) -> str:
+        return f"Timeout({self.delay})"
+
+
+class _Bootstrap(Event):
+    """The event that first resumes a new process; labelled ``init:<name>``."""
+
+    __slots__ = ("process",)
+
+    def __init__(self, process: "Process"):
+        Event.__init__(self, process.sim)
+        self.process = process
+
+    def _label(self) -> str:
+        return f"init:{self.process.name}"
 
 
 class Process(Event):
@@ -191,19 +227,21 @@ class Process(Event):
     that escaped the generator.
     """
 
+    __slots__ = ("_generator", "_waiting_on")
+
     def __init__(self, sim, generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
                 "Process requires a generator; got "
                 f"{type(generator).__name__}. Did you forget to call the "
                 "generator function?")
-        super().__init__(sim, name=name or getattr(
+        Event.__init__(self, sim, name or getattr(
             generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         # Bootstrap: resume the generator as soon as the simulation runs.
-        bootstrap = Event(sim, name=f"init:{self.name}")
-        bootstrap.add_callback(self._resume)
+        bootstrap = _Bootstrap(self)
+        bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
     @property
@@ -226,28 +264,30 @@ class Process(Event):
         interrupt_event.defused = True
         interrupt_event._value = None
         interrupt_event._exception = Interrupt(cause)
-        interrupt_event._status = EventStatus.TRIGGERED
+        interrupt_event._status = _TRIGGERED
         interrupt_event.add_callback(self._resume)
         self.sim._schedule(interrupt_event, delay=0.0)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         self._waiting_on = None
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         try:
-            if event.exception is not None:
+            exception = event._exception
+            if exception is not None:
                 event.defused = True
-                target = self._generator.throw(event.exception)
+                target = self._generator.throw(exception)
             else:
                 target = self._generator.send(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._trigger(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - the process failed
             self.fail(exc)
             return
         finally:
-            self.sim._active_process = None
+            sim._active_process = None
 
         if not isinstance(target, Event):
             error = SimulationError(
@@ -255,17 +295,22 @@ class Process(Event):
                 "Event")
             self.fail(error)
             return
-        if target.sim is not self.sim:
+        if target.sim is not sim:
             self.fail(SimulationError(
                 f"process {self.name!r} yielded an event from a different "
                 "simulation"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target._status is _PROCESSED:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class _Condition(Event):
     """Base for composite events built from several child events."""
+
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, sim, events: Iterable[Event], name: str):
         super().__init__(sim, name=name)
@@ -300,11 +345,13 @@ class AllOf(_Condition):
     soon as any child fails.
     """
 
+    __slots__ = ()
+
     def __init__(self, sim, events: Iterable[Event]):
         super().__init__(sim, events, name="AllOf")
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
+        if self._status is not _PENDING:
             return
         exc = child.exception
         if exc is not None:
@@ -323,11 +370,13 @@ class AnyOf(_Condition):
     that first event failed.
     """
 
+    __slots__ = ()
+
     def __init__(self, sim, events: Iterable[Event]):
         super().__init__(sim, events, name="AnyOf")
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
+        if self._status is not _PENDING:
             return
         exc = child.exception
         if exc is not None:

@@ -99,10 +99,7 @@ class Checkpointer:
         """Dump the committed state to "disk"; returns the durable LSN."""
         self._snapshot = self.store.snapshot()
         self._snapshot_seq = self.store.last_applied_seq
-        if self.policy.synchronous_commit:
-            durable_lsn = self.wal.last_lsn
-        else:
-            durable_lsn = self.wal.last_lsn
+        durable_lsn = self.wal.last_lsn
         self.wal.mark_durable(durable_lsn)
         self.checkpoints_taken += 1
         self.last_checkpoint_time = timestamp

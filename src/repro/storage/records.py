@@ -8,8 +8,9 @@ staleness measurement and multi-master conflict detection possible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 
 class _Tombstone:
@@ -131,9 +132,12 @@ def record_size(value: Any) -> int:
 
 def _value_size(value: Any) -> int:
     # Ordered by what profiles hold; the ``Mapping`` ABC check is slow, so
-    # plain dicts are caught before it.
+    # plain dicts and the profile's absent (``None``) attributes are caught
+    # before it.
     if isinstance(value, str):
         return 49 + len(value)
+    if value is None:
+        return 48
     if isinstance(value, (int, float)):
         return 28
     if isinstance(value, dict):

@@ -257,12 +257,6 @@ class WriteAheadLog:
         # an append after it leaves a hole (LSNs 1, 2, 3, 6); scan past it.
         return [record for record in records if record.lsn > lsn]
 
-    def record_at(self, lsn: int) -> Optional[LogRecord]:
-        for record in self._records:
-            if record.lsn == lsn:
-                return record
-        return None
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -8,6 +8,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
     "check_work_counters.py"
 
@@ -51,3 +53,34 @@ def test_committed_file_covers_every_workload_and_counter():
     assert sorted(committed) == sorted(GATE.workloads())
     for counters in committed.values():
         assert sorted(counters) == sorted(GATE.COUNTERS)
+
+
+def test_named_workload_is_the_only_one_measured_and_compared(monkeypatch):
+    committed = json.loads(GATE.COUNTERS_FILE.read_text())
+    measured = []
+
+    def measure(workload):
+        measured.append(workload)
+        return dict(committed[workload])
+
+    monkeypatch.setattr(GATE, "measure", measure)
+    assert GATE.main(["--workload", "oss-search-campaign"]) == 0
+    assert measured == ["oss-search-campaign"]
+
+    def drifted(workload):
+        return dict(committed[workload], **{"sim.events": -1})
+
+    monkeypatch.setattr(GATE, "measure", drifted)
+    assert GATE.main(["--workload", "fe-read-mostly"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--write", "--workload", "fe-read-mostly"],
+    ["--workload", "no-such-workload"],
+])
+def test_refused_workload_arguments_measure_nothing(argv, monkeypatch):
+    monkeypatch.setattr(GATE, "measure", lambda workload: pytest.fail(
+        f"measured {workload}"))
+    with pytest.raises(SystemExit) as refused:
+        GATE.main(argv)
+    assert refused.value.code == 2

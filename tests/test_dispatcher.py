@@ -371,6 +371,14 @@ class TestSharedWaveRespond:
         assert udr.metrics.counter("dispatcher.grouped_tickets") == 5
         assert udr.metrics.counter("dispatcher.grouped_responses") == waves
 
+    def test_response_event_is_shared_until_it_fires(self):
+        udr, _ = dispatcher_udr(subscribers=4)
+        event = udr.dispatcher.response_event("fe-label")
+        assert udr.dispatcher.response_event("fe-label") is event
+        assert repr(event) == "<wave-response:fe-label status=pending>"
+        event.succeed()
+        assert udr.dispatcher.response_event("fe-label") is not event
+
     def test_mixed_wave_keeps_per_ticket_events_for_untagged(self):
         udr, profiles = dispatcher_udr()
         site = fe_site_for(udr, profiles[0])

@@ -6,6 +6,7 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
+    EventStatus,
     Interrupt,
     Simulation,
     SimulationError,
@@ -285,6 +286,128 @@ class TestConditions:
         sim.process(waiter(sim, log))
         sim.run()
         assert log == ["child failed"]
+
+
+class TestKernelContract:
+    """The lean per-event path keeps the kernel's observable contract."""
+
+    def test_events_are_slotted(self):
+        sim = Simulation()
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+
+        for event in (sim.event(), sim.timeout(0.5), sim.process(proc(sim)),
+                      sim.all_of([]), sim.any_of([sim.timeout(1.0)])):
+            assert not hasattr(event, "__dict__"), type(event).__name__
+
+    def test_default_labels_appear_in_repr(self):
+        sim = Simulation()
+
+        def heartbeat(sim):
+            yield sim.timeout(1.0)
+
+        assert repr(sim.timeout(0.5)) == "<Timeout(0.5) status=triggered>"
+        assert repr(sim.timeout(0.5, value="v")).startswith("<Timeout(0.5) ")
+        assert "heartbeat" in repr(sim.process(heartbeat(sim)))
+        assert "ticker" in repr(sim.process(heartbeat(sim), name="ticker"))
+        assert repr(sim.event()) == "<Event status=pending>"
+        assert repr(sim.event("named")) == "<named status=pending>"
+
+    def test_double_trigger_message_names_the_timeout(self):
+        sim = Simulation()
+        with pytest.raises(SimulationError, match=r"Timeout\(2\.0\)"):
+            sim.timeout(2.0).succeed()
+
+    def test_yielding_event_of_another_simulation_fails_process(self):
+        sim, other = Simulation(), Simulation()
+
+        def stray(sim):
+            yield other.timeout(1.0)
+
+        process = sim.process(stray(sim), name="stray")
+        with pytest.raises(SimulationError, match="different simulation"):
+            sim.run()
+        assert not process.ok
+
+    def test_run_dispatches_every_event_through_step(self, monkeypatch):
+        sim = Simulation()
+        steps, processed = [], []
+        step, process_event = Simulation.step, Event._process
+
+        def counting_step(self):
+            steps.append(self.now)
+            step(self)
+
+        def counting_process(self):
+            processed.append(self)
+            process_event(self)
+
+        monkeypatch.setattr(Simulation, "step", counting_step)
+        monkeypatch.setattr(Event, "_process", counting_process)
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+            yield sim.timeout(1.0)
+
+        sim.process(proc(sim))   # bootstrap, 2 timeouts, completion
+        for delay in (0.5, 1.5, 3.0):
+            sim.timeout(delay)
+        sim.timeout(2.5).cancel()
+        sim.run()
+        assert len(processed) == 7
+        assert len(steps) == len(processed)
+        assert sim.now == 3.0
+
+    def test_cancelled_heap_top_is_skipped(self):
+        sim = Simulation()
+        fired = []
+        early = sim.timeout(1.0)
+        early.add_callback(lambda e: fired.append("early"))
+        late = sim.timeout(2.0)
+        late.add_callback(lambda e: fired.append(sim.now))
+        early.cancel()
+        sim.run()
+        assert fired == [2.0]
+        assert early.status is EventStatus.TRIGGERED
+
+    def test_event_cancelled_while_pending_never_runs(self):
+        # Cancelled before it was scheduled, so only the heap-top test (not
+        # the cancelled-entry count) can find it.
+        sim = Simulation()
+        fired = []
+        event = sim.event()
+        event.add_callback(lambda e: fired.append("cancelled"))
+        event.cancel()
+        event.succeed()
+        assert sim._cancelled_scheduled == 0
+        sim.timeout(1.0).add_callback(lambda e: fired.append(sim.now))
+        sim.run()
+        assert fired == [1.0]
+
+    def test_mass_cancellation_compacts_the_heap(self):
+        sim = Simulation()
+        stale = [sim.timeout(100.0 + i) for i in range(40)]
+        live = [sim.timeout(1.0 + i) for i in range(5)]
+        for event in stale:
+            event.cancel()
+        assert len(sim._queue) == 45
+        sim.step()
+        assert len(sim._queue) == len(live) - 1
+        assert sim._cancelled_scheduled == 0
+        assert sim.now == 1.0
+
+    def test_run_until_over_only_cancelled_entries_reaches_until(self):
+        sim = Simulation()
+        fired = []
+        for delay in (1.0, 2.0):
+            event = sim.timeout(delay)
+            event.add_callback(lambda e: fired.append(sim.now))
+            event.cancel()
+        assert sim.run(until=5.0) == 5.0
+        assert sim.now == 5.0
+        assert fired == []
+        assert sim.peek() == float("inf")
 
 
 class TestDeterminism:

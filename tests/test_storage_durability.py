@@ -85,12 +85,6 @@ class TestWriteAheadLog:
         assert wal.last_lsn == 3
         assert checkpointer.checkpoint() == 3
 
-    def test_record_at_lookup(self):
-        _, wal, manager, _ = make_copy()
-        record = commit_write(manager, "a", {"v": 1})
-        assert wal.record_at(record.lsn) is not None
-        assert wal.record_at(99) is None
-
     def test_since_after_truncation_and_crash(self):
         """The index-arithmetic fast path must survive both log prunings:
         truncation (drops a prefix) and a crash (drops the volatile tail)."""

@@ -4,8 +4,10 @@ import ast
 import copy
 import pickle
 import random
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +325,33 @@ class TestRecordHelpers:
         assert record_size(value) == record_size(mirrored)
         assert record_size("alice") == record_size(Str("alice"))
         assert record_size({1: "a"}) == record_size({"1": "a"})
+
+    def test_none_attributes_and_other_mappings_have_pinned_sizes(self):
+        class Profile(dict):
+            pass
+
+        class Frozen(Mapping):
+            def __init__(self, **items):
+                self._items = items
+
+            def __getitem__(self, key):
+                return self._items[key]
+
+            def __iter__(self):
+                return iter(self._items)
+
+            def __len__(self):
+                return len(self._items)
+
+        # 64 + (24 + 1 + 48) + (24 + 1 + 49 + 1): an absent attribute is 48.
+        assert record_size({"a": None, "b": "x"}) == 212
+        # 64 + (24 + 1 + 28), whichever mapping type holds the attributes.
+        assert record_size(MappingProxyType({"v": 1})) == 117
+        assert record_size(Frozen(v=1)) == 117
+        assert record_size(Profile(v=1)) == 117
+        # 64 + 24 + 1 + (64 + (24 + 1 + 28) + (24 + 1 + 48)), nested.
+        assert record_size({"m": Frozen(v=1, w=None)}) == 279
+        assert record_size({"m": Profile(v=1, w=None)}) == 279
 
     def test_merge_attributes_updates_and_deletes(self):
         base = {"a": 1, "b": 2}
