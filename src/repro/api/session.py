@@ -128,7 +128,7 @@ class ResponseFuture:
         if self._ticket is not None:
             dispatcher = self.session.client.udr.dispatcher
             while self._ticket.response is None:
-                yield dispatcher.response_event(self.session.client.name)
+                yield dispatcher.wait_event(self._ticket)
             self._settle(self._ticket.response)
             return self._response
         yield self._process

@@ -39,8 +39,12 @@ Two load-path refinements ride on the queue:
 * **shared-wave respond path**: tickets submitted with a ``source`` tag
   (front-ends and the provisioning system pass their name) resume their
   callers through *one* grouped response event per wave per source instead
-  of one simulator event per ticket; each caller reads its own
-  :attr:`DispatchTicket.response` after the shared event fires.
+  of one simulator event per ticket.  The wake is keyed: each waiter is
+  registered under its ticket (:meth:`BatchDispatcher.wait_event`), and the
+  shared event resumes only the callers whose ticket it answered, moving
+  the others onto the source's next event without running them -- so a
+  queue thousands deep costs one resume per answered caller, not one per
+  caller per wave.
 
 Two overload defences complete the control loop (PR 7):
 
@@ -59,6 +63,12 @@ Two overload defences complete the control loop (PR 7):
   trip/clear hysteresis (:class:`ShedController`).  While tripped, reads
   may be served from slave replicas even for master-only client types and
   bulk-class tickets are deferred from wave membership (never dropped).
+
+The queue itself is an :class:`~repro.core.pipeline.AdmissionQueue`, the
+same weighted-priority order ``execute_batch`` uses, kept across waves:
+forming a wave, removing it, finding the oldest ticket and expiring
+overdue ones all cost in proportion to the wave or to the expired
+tickets, never to the queue's depth.
 
 Observability (recorded straight into the deployment's metrics registry):
 ``dispatcher.enqueued`` / ``dispatcher.dispatched`` counters, wave counters
@@ -86,10 +96,43 @@ from repro.core.config import (
     ShedPolicy,
     UDRConfig,
 )
-from repro.core.pipeline import BATCH_LINGER_TICK, BatchItem, OperationPipeline
+from repro.core.pipeline import (
+    BATCH_LINGER_TICK,
+    AdmissionQueue,
+    BatchItem,
+    OperationPipeline,
+)
 from repro.ldap.operations import LdapRequest, LdapResponse, ResultCode
 from repro.metrics.collector import MetricsRegistry
 from repro.sim import Event
+from repro.sim.events import _PROCESSED
+
+
+class _Waiter(Event):
+    """One caller's wait for one source-tagged ticket.
+
+    What :meth:`BatchDispatcher.wait_event` hands the caller to yield.  It
+    is never scheduled: it sits among the callbacks of its source's wave
+    response, which calls it -- resuming the caller -- once the ticket is
+    answered, and otherwise hands it on (see :meth:`_WaveResponse._process`).
+    An interrupted caller has withdrawn its resume, so its waiter is dropped.
+    """
+
+    __slots__ = ("ticket",)
+
+    def __init__(self, sim, ticket: "DispatchTicket"):
+        Event.__init__(self, sim)
+        self.ticket = ticket
+
+    def __call__(self, response: Event) -> None:
+        self._status = _PROCESSED
+        self._value = response._value
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    def _label(self) -> str:
+        return f"waiter:{self.ticket.source}"
 
 
 class _WaveResponse(Event):
@@ -97,11 +140,36 @@ class _WaveResponse(Event):
     :meth:`BatchDispatcher.response_event`); ``repr`` formats its
     ``wave-response:<source>`` label only when it is shown."""
 
-    __slots__ = ("source",)
+    __slots__ = ("dispatcher", "source")
 
-    def __init__(self, sim, source):
-        Event.__init__(self, sim)
+    def __init__(self, dispatcher: "BatchDispatcher", source):
+        Event.__init__(self, dispatcher.sim)
+        self.dispatcher = dispatcher
         self.source = source
+
+    def _process(self) -> None:
+        """The keyed wake: walk the callbacks in order, resume the waiters
+        whose ticket is answered and append each other waiter to the
+        source's fresh event without resuming it.  A caller that waits
+        again as it is resumed lands on the fresh event at that point of
+        the walk, so the fresh event's order is exactly that of a wake of
+        every waiter in which the unanswered ones wait again -- at one
+        append, not one generator resume, per waiter left waiting."""
+        self._status = _PROCESSED
+        callbacks, self.callbacks = self.callbacks, []
+        waiting = None
+        for callback in callbacks:
+            if callback.__class__ is _Waiter and \
+                    callback.ticket.response is None:
+                if callback.callbacks:  # else the caller was interrupted
+                    if waiting is None:
+                        waiting = self.dispatcher.response_event(
+                            self.source).callbacks
+                    waiting.append(callback)
+                continue
+            if callback.__class__ is not _Waiter or callback.callbacks:
+                callback(self)
+                waiting = None  # a resumed caller may trigger that event
 
     def _label(self) -> str:
         return f"wave-response:{self.source}"
@@ -115,7 +183,7 @@ class DispatchTicket:
     completes; a waiting client generator simply ``yield``\\ s it.  Tickets
     submitted with a ``source`` tag share *one* grouped response event per
     wave per source instead (``event`` is ``None``): the caller yields
-    :meth:`BatchDispatcher.response_event` until :attr:`response` is set,
+    :meth:`BatchDispatcher.wait_event` until :attr:`response` is set,
     which is how a session future waits.  ``enqueued_at`` / ``completed_at``
     bracket the client-perceived latency, queue wait included.
     """
@@ -255,7 +323,8 @@ class BatchDispatcher:
         self.config = config
         self.pipeline = pipeline
         self.metrics = metrics
-        self.queue: List[DispatchTicket] = []
+        #: The queued tickets, persistent across waves.
+        self.queue = AdmissionQueue(config)
         self.waves_dispatched = 0
         self.requests_dispatched = 0
         self.adaptive = (AdaptiveLingerController(config.adaptive_linger,
@@ -331,9 +400,9 @@ class BatchDispatcher:
         Non-blocking and callable from outside any process; the caller
         waits by yielding ``ticket.event`` -- or, when a ``source`` tag is
         given (any hashable identifying the submitting front-end process),
-        by yielding :meth:`response_event` until ``ticket.response`` is
-        set: all of a source's tickets completing in one wave then resume
-        their callers through a single grouped event.  Starts the dispatch
+        by yielding :meth:`wait_event` until ``ticket.response`` is set:
+        all of a source's tickets completing in one wave then resume their
+        callers through a single grouped event.  Starts the dispatch
         loop lazily, so drivers need not care whether ``udr.start()`` ran
         with ``dispatch_mode=DISPATCHER`` already set.
 
@@ -352,7 +421,7 @@ class BatchDispatcher:
         event = None if source is not None else \
             self.sim.event("dispatch-ticket")
         ticket = DispatchTicket(item, self.sim.now, event, source=source)
-        self.queue.append(ticket)
+        self.queue.push(ticket)
         self.metrics.increment("dispatcher.enqueued")
         if getattr(request, "paged", False):
             # A paged search occupies one wave slot per page, never the
@@ -369,15 +438,35 @@ class BatchDispatcher:
 
     def response_event(self, source):
         """The shared event the next wave completing ``source`` tickets
-        triggers.  Callers loop ``while ticket.response is None: yield
-        dispatcher.response_event(source)`` -- a wave that completed other
-        tickets of the same source wakes them spuriously and they re-wait
-        on the fresh event."""
+        triggers (one per wave per source, whatever the number of
+        waiters)."""
         event = self._source_events.get(source)
         if event is None or event.triggered:
-            event = _WaveResponse(self.sim, source)
+            event = _WaveResponse(self, source)
             self._source_events[source] = event
         return event
+
+    def wait_event(self, ticket: DispatchTicket) -> _Waiter:
+        """The event to yield while a source-tagged ``ticket`` is pending.
+
+        Callers loop ``while ticket.response is None: yield
+        dispatcher.wait_event(ticket)``.  The waiter joins the callbacks
+        of the source's current :meth:`response_event`, keyed by its
+        ticket: a wave that answers other tickets of the source passes it
+        on to the next event without resuming the caller, and the wave
+        that answers its own resumes it (see :meth:`_WaveResponse._process`).
+        """
+        waiter = _Waiter(self.sim, ticket)
+        self.response_event(ticket.source).callbacks.append(waiter)
+        return waiter
+
+    def _answer(self, ticket: DispatchTicket, response: LdapResponse) -> None:
+        """Complete ``ticket``; a tagged ticket's caller resumes when its
+        source's grouped response event fires."""
+        ticket.completed_at = self.sim.now
+        ticket.response = response
+        if ticket.source is None:
+            ticket.event.succeed(response)
 
     # -- the dispatch loop --------------------------------------------------------
 
@@ -392,25 +481,26 @@ class BatchDispatcher:
         even if no wave forms then), or the next arrival, whichever comes
         first.  A timeout the loop stops waiting on is cancelled, so the
         event heap never accumulates dead linger deadlines under
-        saturation.  The queue stays sorted by arrival time (append-only),
-        so ``queue[0]`` is always the oldest waiting request even though
-        priority selection removes from the middle.  The loop exits when
-        stop() bumped the generation past the one it was started with.
+        saturation.  The queue keeps its arrival order, so its oldest
+        waiting request is found in O(1) even though priority selection
+        removes from the middle.  The loop exits when stop() bumped the
+        generation past the one it was started with.
         """
+        queue = self.queue
         while generation == self._generation:
-            if not self.queue:
+            if not queue:
                 self._cancel_wake_timeout()
                 self._deadline_ticket = None
                 self._wake = self.sim.event("dispatcher-arrival")
                 yield self._wake
                 continue  # re-check the generation before dispatching
-            while self.queue and generation == self._generation:
+            while queue and generation == self._generation:
                 # Deadline propagation first: expired tickets are answered
                 # at the wake instant (their deadline), never dispatched.
                 self._expire_overdue()
-                if not self.queue:
+                if not queue:
                     break
-                oldest = self.queue[0]
+                oldest = queue.oldest()
                 if self._deadline_ticket is not oldest:
                     # Freeze this wave's budget when its oldest ticket is
                     # first seen (with adaptive lingering the budget moves
@@ -418,13 +508,13 @@ class BatchDispatcher:
                     self._deadline_ticket = oldest
                     self._deadline_at = oldest.enqueued_at + \
                         self.linger_budget()
-                if len(self.queue) >= self.config.batch_max_size or \
+                if len(queue) >= self.config.batch_max_size or \
                         self.sim.now >= self._deadline_at:
                     self._cancel_wake_timeout()
                     yield from self._dispatch_wave()
                     continue
                 wake_at = self._deadline_at
-                earliest = self._earliest_qos_deadline()
+                earliest = queue.earliest_deadline()
                 if earliest is not None and earliest < wake_at:
                     wake_at = earliest
                 if self._deadline_timeout is None or \
@@ -441,21 +531,6 @@ class BatchDispatcher:
         if self._deadline_timeout is not None:
             self._deadline_timeout.cancel()
             self._deadline_timeout = None
-
-    def _earliest_qos_deadline(self) -> Optional[float]:
-        """The earliest QoS deadline among queued tickets, or ``None``.
-
-        Only consulted when arming a sleep, i.e. when the queue holds fewer
-        than ``batch_max_size`` tickets, so the scan is bounded by the wave
-        size.
-        """
-        earliest = None
-        for ticket in self.queue:
-            deadline = ticket.item.deadline
-            if deadline is not None and \
-                    (earliest is None or deadline < earliest):
-                earliest = deadline
-        return earliest
 
     def _expire_overdue(self) -> None:
         """Answer queued tickets whose deadline passed, without dispatching.
@@ -476,66 +551,58 @@ class BatchDispatcher:
         event are woken so they can observe the expiry.
         """
         now = self.sim.now
-        overdue = [ticket for ticket in self.queue
-                   if ticket.item.deadline is not None
-                   and now >= ticket.item.deadline]
+        overdue = self.queue.expire(now)
         if not overdue:
             return
-        expired_ids = {id(ticket) for ticket in overdue}
-        self.queue = [ticket for ticket in self.queue
-                      if id(ticket) not in expired_ids]
         self.metrics.set_gauge("dispatcher.queue_depth", len(self.queue))
         self.metrics.increment("dispatcher.deadline_expired", len(overdue))
         linger = self.metrics.latency("dispatcher.linger")
-        sources = set()
+        sources: Dict[object, None] = {}
         for ticket in overdue:
             response = LdapResponse(
                 result_code=ResultCode.TIME_LIMIT_EXCEEDED,
                 request=ticket.item.request,
                 diagnostic_message="deadline expired in dispatch queue",
                 latency=now - ticket.enqueued_at)
-            ticket.completed_at = now
-            ticket.response = response
             ticket.expired_in_queue = True
             linger.record(now - ticket.enqueued_at)
             self.metrics.outcomes(ticket.item.client_type.value) \
                 .record_failure("deadline expired in dispatch queue")
+            self._answer(ticket, response)
             if ticket.source is not None:
                 self.metrics.increment(
                     f"api.client.{ticket.source}.failed")
-            if ticket.source is None:
-                ticket.event.succeed(response)
-            else:
-                sources.add(ticket.source)
+                sources[ticket.source] = None
         for source in sources:
             event = self._source_events.pop(source, None)
             if event is not None and not event.triggered:
                 event.succeed(0)
 
-    def _dispatch_wave(self):
-        """Generator: form one wave by weighted priority and execute it.
+    def _form_wave(self) -> List[DispatchTicket]:
+        """Pop the next wave's tickets off the queue by weighted priority.
 
-        The caller (:meth:`_run`) has already expired overdue tickets.  In
-        shed mode, bulk-class tickets are deferred from membership while
+        In shed mode, bulk-class tickets are deferred from membership while
         any higher-class work is queued -- deferred, never dropped: a queue
         holding only bulk work still dispatches it, so shedding cannot
         starve bulk into a livelock.
         """
+        queue = self.queue
+        defer = None
+        if self.shed is not None and self.shed.active:
+            bulk = queue.count(Priority.BULK)
+            if 0 < bulk < len(queue):
+                self.metrics.increment("dispatcher.shed.bulk_deferred", bulk)
+                defer = Priority.BULK
+        return queue.pop_wave(self.config.batch_max_size, defer)
+
+    def _dispatch_wave(self):
+        """Generator: form one wave (:meth:`_form_wave`) and execute it.
+
+        The caller (:meth:`_run`) has already expired overdue tickets.
+        """
         if not self.queue:
             return
-        candidates = self.queue
-        if self.shed is not None and self.shed.active:
-            live = [ticket for ticket in candidates
-                    if ticket.item.priority_class() is not Priority.BULK]
-            if live and len(live) < len(candidates):
-                self.metrics.increment("dispatcher.shed.bulk_deferred",
-                                       len(candidates) - len(live))
-                candidates = live
-        wave = self.pipeline.batch_admission.order(
-            candidates, self.config.batch_max_size)
-        selected = {id(ticket) for ticket in wave}
-        self.queue = [ticket for ticket in self.queue
-                      if id(ticket) not in selected]
+        wave = self._form_wave()
         self.metrics.set_gauge("dispatcher.queue_depth", len(self.queue))
         full = len(wave) >= self.config.batch_max_size
         self.metrics.increment("dispatcher.waves")
@@ -553,11 +620,8 @@ class BatchDispatcher:
             self.shed.observe(len(self.queue))
         grouped: Dict[object, int] = {}
         for ticket, response in zip(wave, responses):
-            ticket.completed_at = self.sim.now
-            ticket.response = response
-            if ticket.source is None:
-                ticket.event.succeed(response)
-            else:
+            self._answer(ticket, response)
+            if ticket.source is not None:
                 grouped[ticket.source] = grouped.get(ticket.source, 0) + 1
         # Shared-wave respond path: all of a source's tickets in this wave
         # resume their callers through one grouped event (one simulator

@@ -48,7 +48,8 @@ end of each request).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import PointOfAccess, closest_point_of_access
@@ -81,6 +82,12 @@ from repro.core.location_cache import LocationCacheGroup, PoALocationCache
 #: Virtual duration of one ``UDRConfig.batch_linger_ticks`` tick: how long an
 #: under-filled admission wave waits for late arrivals before being driven.
 BATCH_LINGER_TICK = 1 * units.MILLISECOND
+
+#: The priority classes in dequeue order (highest first); a
+#: :class:`BatchItem`'s ``rank`` indexes this tuple.
+PRIORITY_ORDER: Tuple[Priority, ...] = tuple(Priority)
+_RANK_OF = {priority: rank for rank, priority in enumerate(PRIORITY_ORDER)}
+_INFINITY = float("inf")
 
 
 class OperationFailure(Exception):
@@ -976,9 +983,16 @@ class BatchItem:
     priority: Optional[Priority] = None
     deadline: Optional[float] = None
     retry_policy: Optional["RetryPolicy"] = None
+    #: Index of :meth:`priority_class` in :data:`PRIORITY_ORDER`, fixed at
+    #: construction so admission never re-derives the class.
+    rank: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", _RANK_OF[
+            self.priority or Priority.for_client(self.client_type)])
 
     def priority_class(self) -> Priority:
-        return self.priority or Priority.for_client(self.client_type)
+        return PRIORITY_ORDER[self.rank]
 
 
 class _BatchSlot:
@@ -995,6 +1009,141 @@ class _BatchSlot:
         self.runnable = False
 
 
+class AdmissionQueue:
+    """The weighted-priority admission order as a queue that lives on.
+
+    One heap per priority class keyed ``(deadline or inf, arrival seq)``:
+    the earliest absolute deadline first within a class, deadline-free work
+    at the class's back, FIFO among ties.  :meth:`pop_wave` runs the
+    weighted round robin over those heaps (``UDRConfig.priority_weights``
+    quanta per turn, classes in :data:`PRIORITY_ORDER`), restarting the
+    round at every call, and pops at most ``limit`` entries -- so one wave
+    costs O(wave log depth) however deep the queue is.  The live entries
+    are also kept in arrival order (a dict keyed on arrival seq) and their
+    QoS deadlines in a heap, so the oldest entry, :meth:`expire` and
+    :meth:`earliest_deadline` touch only the entries they return.  Heaps
+    delete lazily: an entry removed by one view stays in the others until
+    it surfaces, and is skipped there because its seq is no longer live.
+
+    Entries are anything with an ``item`` (:class:`BatchItem`): batch slots
+    or dispatcher tickets.
+    """
+
+    __slots__ = ("_weights", "_heaps", "_counts", "_live", "_deadlines",
+                 "_next_seq", "_oldest_seq")
+
+    def __init__(self, config: UDRConfig):
+        self._weights = tuple(config.weight_of(priority)
+                              for priority in PRIORITY_ORDER)
+        self._heaps: Tuple[list, ...] = tuple([] for _ in PRIORITY_ORDER)
+        #: Live entries per class (the heaps may also hold dead ones).
+        self._counts = [0] * len(PRIORITY_ORDER)
+        self._live: Dict[int, object] = {}
+        self._deadlines: List[Tuple[float, int]] = []
+        self._next_seq = 0
+        #: No live entry has a seq below this; :meth:`oldest` advances it.
+        self._oldest_seq = 0
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def __iter__(self):
+        """The live entries in arrival order."""
+        return iter(self._live.values())
+
+    def count(self, priority: Priority) -> int:
+        """Live entries of one priority class."""
+        return self._counts[_RANK_OF[priority]]
+
+    def push(self, entry) -> None:
+        item = entry.item
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._live[seq] = entry
+        deadline = item.deadline
+        rank = item.rank
+        self._counts[rank] += 1
+        if deadline is None:
+            heappush(self._heaps[rank], (_INFINITY, seq, entry))
+            return
+        heappush(self._heaps[rank], (deadline, seq, entry))
+        deadlines = self._deadlines
+        heappush(deadlines, (deadline, seq))
+        if len(deadlines) > 64 and len(deadlines) > 2 * len(self._live):
+            # Popped entries' deadlines outnumber the live ones: compact.
+            live = self._live
+            deadlines[:] = [pair for pair in deadlines if pair[1] in live]
+            heapify(deadlines)
+
+    def oldest(self):
+        """The earliest-arrived live entry (the queue must not be empty)."""
+        live = self._live
+        seq = self._oldest_seq
+        while seq not in live:
+            seq += 1
+        self._oldest_seq = seq
+        return live[seq]
+
+    def pop_wave(self, limit: int, defer: Optional[Priority] = None) -> list:
+        """Remove and return the next ``limit`` entries in admission order.
+
+        ``defer`` names a class left out of this wave (it stays queued).
+        """
+        live = self._live
+        counts = self._counts
+        skip = None if defer is None else _RANK_OF[defer]
+        remaining = min(limit, len(live) - (0 if skip is None
+                                            else counts[skip]))
+        wave = []
+        while remaining > 0:
+            for rank, heap in enumerate(self._heaps):
+                if rank == skip:
+                    continue
+                take = min(self._weights[rank], counts[rank], remaining)
+                if take <= 0:
+                    continue
+                counts[rank] -= take
+                remaining -= take
+                for _ in range(take):
+                    _key, seq, entry = heappop(heap)
+                    while seq not in live:
+                        _key, seq, entry = heappop(heap)
+                    del live[seq]
+                    wave.append(entry)
+        return wave
+
+    def expire(self, now: float) -> list:
+        """Remove and return, in arrival order, the entries whose deadline
+        is at or before ``now``."""
+        deadlines = self._deadlines
+        live = self._live
+        counts = self._counts
+        expired = []
+        while deadlines and deadlines[0][0] <= now:
+            seq = heappop(deadlines)[1]
+            entry = live.pop(seq, None)
+            if entry is not None:
+                counts[entry.item.rank] -= 1
+                expired.append((seq, entry))
+        if expired:
+            # A class heap sheds its expired entries only as pop_wave
+            # reaches them, which a deferred class never does: compact.
+            for rank, heap in enumerate(self._heaps):
+                if len(heap) > 2 * counts[rank] + 64:
+                    heap[:] = [key for key in heap if key[1] in live]
+                    heapify(heap)
+        expired.sort(key=lambda pair: pair[0])
+        return [entry for _seq, entry in expired]
+
+    def earliest_deadline(self) -> Optional[float]:
+        """The earliest QoS deadline among live entries, or ``None``."""
+        deadlines = self._deadlines
+        live = self._live
+        while deadlines and deadlines[0][1] not in live:
+            heappop(deadlines)
+        return deadlines[0][0] if deadlines else None
+
+
 class BatchAdmissionStage(PipelineStage):
     """Admission of a whole batch: priority dequeue plus shared PoA hops.
 
@@ -1007,8 +1156,9 @@ class BatchAdmissionStage(PipelineStage):
     so a wave that cannot take everything spends its slots on the requests
     closest to expiring instead of answering them ``TIME_LIMIT_EXCEEDED``
     a wave later.  With no deadlines in play the order is exactly the PR 6
-    weighted round-robin (the sort is stable and every key ties).  The
-    ordered queue is then cut into admission waves of at most
+    weighted round-robin.  :class:`AdmissionQueue` is the one
+    implementation of this order; the dispatcher keeps one across waves.
+    The ordered queue is then cut into admission waves of at most
     ``batch_max_size`` requests; within a wave the requests of one client
     site share a single client-to-PoA transfer.
     """
@@ -1020,28 +1170,10 @@ class BatchAdmissionStage(PipelineStage):
         With ``limit`` the round robin stops after ``limit`` picks, so
         ``order(slots, k) == order(slots)[:k]`` without ordering the rest.
         """
-        queues: Dict[Priority, List[_BatchSlot]] = {p: [] for p in Priority}
+        queue = AdmissionQueue(self.config)
         for slot in slots:
-            queues[slot.item.priority_class()].append(slot)
-        infinity = float("inf")
-        for queue in queues.values():
-            if any(slot.item.deadline is not None for slot in queue):
-                queue.sort(key=lambda slot: slot.item.deadline
-                           if slot.item.deadline is not None else infinity)
-        ordered: List[_BatchSlot] = []
-        cursors = {priority: 0 for priority in Priority}
-        remaining = len(slots) if limit is None else min(limit, len(slots))
-        while remaining > 0:
-            for priority in Priority:
-                queue, cursor = queues[priority], cursors[priority]
-                take = min(self.config.weight_of(priority),
-                           len(queue) - cursor, remaining)
-                if take <= 0:
-                    continue
-                ordered.extend(queue[cursor:cursor + take])
-                cursors[priority] = cursor + take
-                remaining -= take
-        return ordered
+            queue.push(slot)
+        return queue.pop_wave(len(slots) if limit is None else limit)
 
     def waves(self, ordered: Sequence[_BatchSlot]) -> List[List[_BatchSlot]]:
         """Cut the admission order into waves of at most ``batch_max_size``."""

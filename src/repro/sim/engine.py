@@ -1,7 +1,8 @@
 """The simulation engine: virtual clock plus event queue.
 
-The engine processes events in ``(time, priority, sequence)`` order, so
-results are fully deterministic for a given seed and program.  Processes are
+The engine processes events in ``(time, sequence)`` order -- events due at
+the same instant run in the order they were scheduled -- so results are
+fully deterministic for a given seed and program.  Processes are
 created with :meth:`Simulation.process` and advance by yielding events.
 """
 
@@ -12,11 +13,6 @@ from typing import Any, Generator, Iterable, Optional
 
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.rng import RandomStreams
-
-#: Priority used for ordinary events.
-PRIORITY_NORMAL = 1
-#: Priority used for urgent bookkeeping events (process bootstrap etc.).
-PRIORITY_URGENT = 0
 
 
 class Simulation:
@@ -90,12 +86,10 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = PRIORITY_NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue ``delay`` from now."""
         self._sequence += 1
-        heappush(
-            self._queue, (self._now + delay, priority, self._sequence, event))
+        heappush(self._queue, (self._now + delay, self._sequence, event))
 
     # -- execution -----------------------------------------------------------
 
@@ -125,11 +119,11 @@ class Simulation:
         queue = self._queue
         if self._cancelled_scheduled > 32 and \
                 self._cancelled_scheduled * 2 > len(queue):
-            queue[:] = [entry for entry in queue if not entry[3].cancelled]
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
             heapify(queue)
             self._cancelled_scheduled = 0
             return
-        while queue and queue[0][3].cancelled:
+        while queue and queue[0][2].cancelled:
             heappop(queue)
             if self._cancelled_scheduled > 0:
                 self._cancelled_scheduled -= 1
@@ -147,9 +141,9 @@ class Simulation:
             If the queue is empty.
         """
         queue = self._queue
-        if self._cancelled_scheduled or queue and queue[0][3].cancelled:
+        if self._cancelled_scheduled or queue and queue[0][2].cancelled:
             self._prune_cancelled()
-        when, _priority, _seq, event = heappop(queue)
+        when, _seq, event = heappop(queue)
         self._now = when
         event._process()
 
@@ -166,7 +160,7 @@ class Simulation:
                 f"cannot run to {until}: simulation time is already {self._now}")
         queue = self._queue
         while queue:
-            if self._cancelled_scheduled or queue[0][3].cancelled:
+            if self._cancelled_scheduled or queue[0][2].cancelled:
                 self._prune_cancelled()
                 if not queue:
                     break
@@ -197,7 +191,7 @@ class Simulation:
                 f"cannot run to {limit}: simulation time is already {self._now}")
         queue = self._queue
         while not event.triggered and queue:
-            if self._cancelled_scheduled or queue[0][3].cancelled:
+            if self._cancelled_scheduled or queue[0][2].cancelled:
                 self._prune_cancelled()
                 if not queue:
                     break

@@ -9,6 +9,7 @@ primitive itself.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AdaptiveLingerController,
@@ -17,15 +18,26 @@ from repro.core import (
     ClientType,
     DispatchMode,
     Priority,
+    ShedPolicy,
     UDRConfig,
 )
-from repro.core.pipeline import BATCH_LINGER_TICK
+from repro.api import QoSProfile, Read, ResponseFuture
+from repro.core.dispatcher import BatchDispatcher, DispatchTicket
+from repro.core.pipeline import (
+    BATCH_LINGER_TICK,
+    PRIORITY_ORDER,
+    AdmissionQueue,
+)
 from repro.ldap import (
     AddRequest,
+    LdapResponse,
     ModifyRequest,
+    ResultCode,
     SearchRequest,
     SubscriberSchema,
 )
+from repro.metrics import MetricsRegistry
+from repro.sim import Interrupt, Process, Simulation
 from repro.subscriber import SubscriberGenerator
 
 from tests.conftest import build_udr, fe_site_for, run_to_completion
@@ -372,10 +384,19 @@ class TestSharedWaveRespond:
         assert udr.metrics.counter("dispatcher.grouped_responses") == waves
 
     def test_response_event_is_shared_until_it_fires(self):
-        udr, _ = dispatcher_udr(subscribers=4)
+        udr, profiles = dispatcher_udr(subscribers=4)
+        site = fe_site_for(udr, profiles[0])
+        tickets = [udr.dispatcher.submit(read_for(udr, profile),
+                                         ClientType.APPLICATION_FE, site,
+                                         source="fe-label")
+                   for profile in profiles[:2]]
         event = udr.dispatcher.response_event("fe-label")
+        waiters = [udr.dispatcher.wait_event(ticket) for ticket in tickets]
         assert udr.dispatcher.response_event("fe-label") is event
+        assert event.callbacks == waiters, \
+            "both callers wait on the one shared event, in order"
         assert repr(event) == "<wave-response:fe-label status=pending>"
+        assert repr(waiters[0]) == "<waiter:fe-label status=pending>"
         event.succeed()
         assert udr.dispatcher.response_event("fe-label") is not event
 
@@ -407,6 +428,402 @@ class TestSharedWaveRespond:
         assert udr.metrics.counter("dispatcher.grouped_tickets") > 0
         assert udr.metrics.counter("dispatcher.grouped_responses") <= \
             udr.metrics.counter("dispatcher.grouped_tickets")
+
+
+def parent_wait(self):
+    """``ResponseFuture.wait`` as it was before the keyed wake: every waiter
+    of a source resumes on each of its source's wave responses and waits
+    again on the fresh one -- the reference semantics."""
+    if self.done:
+        return self._response
+    if self._ticket is not None:
+        dispatcher = self.session.client.udr.dispatcher
+        while self._ticket.response is None:
+            yield dispatcher.response_event(self.session.client.name)
+        self._settle(self._ticket.response)
+        return self._response
+    yield self._process
+    return self._response
+
+
+DEEP_CALLERS = 1200
+
+
+def count_kernel_calls(monkeypatch):
+    """Count ``Process._resume`` and ``Simulation.step`` calls from now on."""
+    counts = {"resumes": 0, "steps": 0}
+    resume, step = Process._resume, Simulation.step
+
+    def counted_resume(process, event):
+        counts["resumes"] += 1
+        return resume(process, event)
+
+    def counted_step(sim):
+        counts["steps"] += 1
+        return step(sim)
+
+    monkeypatch.setattr(Process, "_resume", counted_resume)
+    monkeypatch.setattr(Simulation, "step", counted_step)
+    return counts
+
+
+def deep_queue_run(monkeypatch, reference=False, interrupt_every=0):
+    """Queue ``DEEP_CALLERS`` source-tagged session calls at once.
+
+    Three clients (two front-ends at different sites, one provisioning
+    system) share the queue; every seventh caller is bulk class, so waves
+    take members out of arrival order, and every fifth caller calls again
+    the moment its first response arrives.  With ``interrupt_every`` one
+    in that many callers is interrupted while it waits.  Returns the
+    completion log, the kernel call counts over the drain and the
+    interrupted callers.
+    """
+    if reference:
+        monkeypatch.setattr(ResponseFuture, "wait", parent_wait)
+    udr, profiles = dispatcher_udr(subscribers=60, batch_max_size=8,
+                                   batch_linger_ticks=1)
+    sites = udr.topology.sites
+    sessions = [udr.attach("fe-a", sites[0]).session(),
+                udr.attach("fe-b", sites[-1]).session(),
+                udr.attach("ps", sites[0], ClientType.PROVISIONING).session()]
+    bulk = QoSProfile(priority=Priority.BULK)
+    completions = []
+    interrupted = []
+
+    def caller(index):
+        session = sessions[index % len(sessions)]
+        calls = 2 if index % 5 == 0 else 1
+        try:
+            for call in range(calls):
+                imsi = profiles[(index + call) % len(profiles)] \
+                    .identities.imsi
+                response = yield from session.call(
+                    Read(imsi), bulk if index % 7 == 0 else None)
+                assert imsi in str(response.request.dn), \
+                    "each caller reads its own response"
+                completions.append((index, call, udr.sim.now,
+                                    response.result_code.name))
+        except Interrupt:
+            interrupted.append(index)
+
+    counts = count_kernel_calls(monkeypatch)
+    callers = [udr.sim.process(caller(index))
+               for index in range(DEEP_CALLERS)]
+    if interrupt_every:
+        udr.sim.run(until=udr.sim.now + 0.05)
+        for index in range(0, DEEP_CALLERS, interrupt_every):
+            callers[index].interrupt("caller gave up")
+    udr.sim.run_until_triggered(udr.sim.all_of(callers),
+                                limit=udr.sim.now + 600.0)
+    assert all(process.triggered for process in callers)
+    return completions, dict(counts), interrupted
+
+
+class TestKeyedWake:
+    """A deep queue of source-tagged callers: the shared wave response
+    resumes only the callers whose ticket it answered, in the order the
+    wake of every waiter used to."""
+
+    def test_deep_queue_resumes_no_more_than_it_steps(self, monkeypatch):
+        completions, counts, _ = deep_queue_run(monkeypatch)
+        assert len(completions) == DEEP_CALLERS + DEEP_CALLERS // 5
+        codes = [code for *_, code in completions]
+        assert codes.count("SUCCESS") >= len(codes) - 5, \
+            "only a lost link message may fail a call"
+        assert counts["resumes"] <= counts["steps"], counts
+
+    def test_completion_order_matches_the_wake_of_every_waiter(
+            self, monkeypatch):
+        keyed, counts, _ = deep_queue_run(monkeypatch)
+        with monkeypatch.context() as patch:
+            reference, herd, _ = deep_queue_run(patch, reference=True)
+        assert keyed == reference
+        assert herd["steps"] == counts["steps"]
+        assert herd["resumes"] > 10 * herd["steps"], \
+            "the reference wakes every waiter on every wave"
+        order = [index for index, call, *_ in keyed if call == 0]
+        assert order != sorted(order), "waves took callers out of order"
+
+    def test_interrupted_waiter_is_detached_and_the_rest_resume(
+            self, monkeypatch):
+        keyed, counts, interrupted = deep_queue_run(
+            monkeypatch, interrupt_every=50)
+        assert interrupted == list(range(0, DEEP_CALLERS, 50))
+        finished = {index for index, call, *_ in keyed if call == 0}
+        assert finished.isdisjoint(interrupted)
+        assert len(finished) == DEEP_CALLERS - len(interrupted)
+        assert counts["resumes"] <= counts["steps"], counts
+        with monkeypatch.context() as patch:
+            reference, _, _ = deep_queue_run(patch, reference=True,
+                                             interrupt_every=50)
+        assert keyed == reference
+
+    def test_late_waiters_keep_the_order_of_the_wake_of_every_waiter(self):
+        """Waiters that arrive while a wave response is already due, a
+        second response triggered before the first runs, and a caller
+        waiting again mid-resume all land where a wake of every waiter
+        would have put them."""
+        reference = late_waiter_script(keyed=False)
+        assert reference[0] == ["p2", "p5", "p1", "p2b", "p3", "p6", "r",
+                                "g", "p4", "q interrupted", "s1 interrupted",
+                                "s2"]
+        assert late_waiter_script(keyed=True) == reference
+
+
+def late_waiter_script(keyed):
+    """Drive one source's waiters by hand; returns the resume log."""
+    udr, profiles = dispatcher_udr(subscribers=4)
+    dispatcher, sim = udr.dispatcher, udr.sim
+    site = fe_site_for(udr, profiles[0])
+    item = BatchItem(read_for(udr, profiles[0]), ClientType.APPLICATION_FE,
+                     site)
+    names = ("p1", "p2", "p3", "p4", "p5", "p6", "r", "p2b", "g", "q", "s1",
+             "s2")
+    tickets = {name: DispatchTicket(item, sim.now, None, source="fe")
+               for name in names}
+    log = []
+
+    def wait(name):
+        ticket = tickets[name]
+        while ticket.response is None:
+            yield (dispatcher.wait_event(ticket) if keyed
+                   else dispatcher.response_event("fe"))
+        log.append(name)
+
+    def caller(name, then=None):
+        try:
+            yield from wait(name)
+            if then is not None:
+                yield from wait(then)  # waits again while being resumed
+        except Interrupt:
+            log.append(f"{name} interrupted")
+
+    def answer(*names):
+        for name in names:
+            dispatcher._answer(tickets[name], LdapResponse(ResultCode.SUCCESS))
+
+    def trigger():
+        event = dispatcher._source_events.pop("fe", None)
+        if event is not None:
+            event.succeed(0)
+
+    def run_instant():
+        sim.run(until=sim.now)
+
+    def second_trigger():
+        # Runs after p5 joined the fresh event, before the first response:
+        # the fresh event is triggered too, and r joins between the two.
+        answer("p5")
+        sim.process(caller("r"))
+        trigger()
+        yield from ()
+
+    for name in ("p1", "p2", "p3", "p4"):
+        sim.process(caller(name, then="p2b" if name == "p2" else None))
+    run_instant()
+    sim.process(caller("p5"))  # bootstraps after the trigger below
+    sim.process(second_trigger())
+    answer("p2")
+    trigger()
+    sim.process(caller("p6"))
+    run_instant()
+    answer("p1", "p3", "p6", "r", "p2b")
+    trigger()
+    run_instant()
+    sim.process(caller("g"))  # joins while a response with p4 is due
+    trigger()
+    run_instant()
+    answer("p4", "g")
+    trigger()
+    run_instant()
+    quitter = sim.process(caller("q"))
+    run_instant()
+    quitter.interrupt()
+    run_instant()
+    # q left: the wave response finds no live waiter and hands nothing
+    # on, so the next trigger finds no fresh event to schedule.
+    trigger()
+    run_instant()
+    trigger()
+    run_instant()
+    # s1 is answered, then interrupted before its wave response runs.
+    answered_quitter = sim.process(caller("s1"))
+    sim.process(caller("s2"))
+    run_instant()
+    answer("s1")
+    answered_quitter.interrupt()
+    run_instant()
+    trigger()
+    run_instant()
+    answer("s2")
+    trigger()
+    run_instant()
+    return log, sim._sequence
+
+
+def reference_order(config, slots, limit=None):
+    """The stateless weighted-priority admission order (slack-sorted within
+    a class), kept verbatim as the oracle of the persistent queue."""
+    queues = {p: [] for p in Priority}
+    for slot in slots:
+        queues[slot.item.priority_class()].append(slot)
+    infinity = float("inf")
+    for queue in queues.values():
+        if any(slot.item.deadline is not None for slot in queue):
+            queue.sort(key=lambda slot: slot.item.deadline
+                       if slot.item.deadline is not None else infinity)
+    ordered = []
+    cursors = {priority: 0 for priority in Priority}
+    remaining = len(slots) if limit is None else min(limit, len(slots))
+    while remaining > 0:
+        for priority in Priority:
+            queue, cursor = queues[priority], cursors[priority]
+            take = min(config.weight_of(priority), len(queue) - cursor,
+                       remaining)
+            if take <= 0:
+                continue
+            ordered.extend(queue[cursor:cursor + take])
+            cursors[priority] = cursor + take
+            remaining -= take
+    return ordered
+
+
+#: A submit: (client type, priority override, deadline ticks or None).
+submits = st.tuples(st.just("submit"),
+                    st.sampled_from([ClientType.APPLICATION_FE,
+                                     ClientType.PROVISIONING]),
+                    st.sampled_from([None, *Priority]),
+                    st.sampled_from([None, None, *range(1, 13)]))
+queue_actions = st.lists(st.one_of(
+    submits, submits, submits,
+    st.tuples(st.just("advance"), st.sampled_from([1, 2, 3])),
+    st.tuples(st.just("shed"), st.booleans()),
+    st.tuples(st.just("wave"))), min_size=8, max_size=80)
+
+
+class TestAdmissionQueueProperty:
+    def test_expired_tickets_come_back_in_arrival_order(self):
+        queue = AdmissionQueue(UDRConfig())
+        site = None
+        late, early, open_ended = (
+            DispatchTicket(BatchItem(None, ClientType.APPLICATION_FE, site,
+                                     deadline=deadline), 0.0, None)
+            for deadline in (0.5, 0.2, None))
+        for ticket in (late, early, open_ended):
+            queue.push(ticket)
+        assert queue.earliest_deadline() == 0.2
+        assert queue.expire(0.6) == [late, early]
+        assert queue.earliest_deadline() is None
+        assert list(queue) == [open_ended] and queue.oldest() is open_ended
+
+    def test_deferred_class_stays_queued_across_rounds(self):
+        """Six signalling tickets outlast the signalling quantum (4), so
+        the round robin reaches the bulk class -- which is deferred."""
+        queue = AdmissionQueue(UDRConfig())
+        tickets = [DispatchTicket(BatchItem(None, ClientType.APPLICATION_FE,
+                                            None, priority=priority),
+                                  0.0, None)
+                   for priority in [Priority.BULK] * 2 +
+                   [Priority.SIGNALLING] * 6]
+        for ticket in tickets:
+            queue.push(ticket)
+        assert queue.pop_wave(8, defer=Priority.BULK) == tickets[2:]
+        assert list(queue) == tickets[:2]
+        assert queue.count(Priority.BULK) == 2
+
+    def test_dispatched_deadlines_do_not_pile_up(self):
+        queue = AdmissionQueue(UDRConfig())
+        for index in range(500):
+            queue.push(DispatchTicket(
+                BatchItem(None, ClientType.APPLICATION_FE, None,
+                          deadline=1000.0 + index), 0.0, None))
+            queue.pop_wave(1)
+        assert len(queue) == 0
+        assert len(queue._deadlines) <= 2 * 64
+
+    def test_deferred_expiry_does_not_pile_up_in_the_class_heap(self):
+        """Shed mode defers bulk for as long as higher-class work queues, so
+        pop_wave never reaches the bulk heap; expiry must still clear it."""
+        queue = AdmissionQueue(UDRConfig())
+        bulk_heap = queue._heaps[PRIORITY_ORDER.index(Priority.BULK)]
+        now = 0.0
+        for _ in range(2000):
+            for priority, deadline in ((Priority.BULK, now + 0.002),
+                                       (Priority.SIGNALLING, None)):
+                queue.push(DispatchTicket(
+                    BatchItem(None, ClientType.APPLICATION_FE, None,
+                              priority=priority, deadline=deadline),
+                    now, None))
+            now += 0.001
+            queue.expire(now)
+            assert queue.pop_wave(1, defer=Priority.BULK)
+        live = queue.count(Priority.BULK)
+        assert live <= 3, "bulk tickets expire two ticks after arrival"
+        assert len(bulk_heap) <= 2 * live + 64 + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(actions=queue_actions, wave_size=st.integers(1, 6),
+           weights=st.fixed_dictionaries(
+               {priority.value: st.integers(1, 4) for priority in Priority}))
+    def test_queue_matches_the_stateless_order(self, small_udr, actions,
+                                               wave_size, weights):
+        """Random interleavings of submit, deadline expiry, shed on/off and
+        wave formation: the persistent queue forms every wave with the
+        members and order of the stateless ``order(queue, k)`` over the
+        queue as it stands, expires the same tickets, and defers as many
+        bulk tickets."""
+        udr, profiles = small_udr
+        config = udr.config.replace(
+            batch_max_size=wave_size, priority_weights=weights,
+            dispatch_mode=DispatchMode.DISPATCHER, shed_policy=ShedPolicy())
+        metrics = MetricsRegistry()
+        dispatcher = BatchDispatcher(udr.sim, config, udr.pipeline, metrics)
+        request = read_for(udr, profiles[0])
+        site = udr.topology.sites[0]
+        tick = 0.001
+        now = 0.0
+        oracle = []
+        deferred = 0
+        for action in actions:
+            if action[0] == "submit":
+                _, client_type, priority, ticks = action
+                deadline = None if ticks is None else now + ticks * tick
+                ticket = DispatchTicket(
+                    BatchItem(request, client_type, site, priority=priority,
+                              deadline=deadline), now, None, source="p")
+                dispatcher.queue.push(ticket)
+                oracle.append(ticket)
+            elif action[0] == "advance":
+                now += action[1] * tick
+                expired = [ticket for ticket in oracle
+                           if ticket.item.deadline is not None
+                           and now >= ticket.item.deadline]
+                oracle = [ticket for ticket in oracle
+                          if ticket not in expired]
+                assert dispatcher.queue.expire(now) == expired
+                earliest = min((ticket.item.deadline for ticket in oracle
+                                if ticket.item.deadline is not None),
+                               default=None)
+                assert dispatcher.queue.earliest_deadline() == earliest
+            elif action[0] == "shed":
+                dispatcher.shed.active = action[1]
+            else:
+                candidates = oracle
+                if dispatcher.shed.active:
+                    live = [ticket for ticket in oracle
+                            if ticket.item.priority_class()
+                            is not Priority.BULK]
+                    if live and len(live) < len(oracle):
+                        deferred += len(oracle) - len(live)
+                        candidates = live
+                expected = reference_order(config, candidates, wave_size)
+                assert dispatcher._form_wave() == expected
+                oracle = [ticket for ticket in oracle
+                          if ticket not in expected]
+            assert list(dispatcher.queue) == oracle
+            if oracle:
+                assert dispatcher.queue.oldest() is oracle[0]
+        assert metrics.counter("dispatcher.shed.bulk_deferred") == deferred
 
 
 class TestCoalescedWrites:

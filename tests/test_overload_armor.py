@@ -323,7 +323,7 @@ class TestTimeoutHeapHygiene:
         assert udr.metrics.counter("dispatcher.waves_full") == waves
         assert max(heap_sizes) < 80, \
             f"event heap grew to {max(heap_sizes)} under saturation"
-        stale = sum(1 for entry in udr.sim._queue if entry[3].cancelled)
+        stale = sum(1 for entry in udr.sim._queue if entry[-1].cancelled)
         assert stale < 70, f"{stale} dead timeouts left in the heap"
 
 

@@ -15,6 +15,11 @@ from repro.sim import (
 )
 
 
+def iter_once(sim, fired):
+    fired.append("process")
+    yield sim.timeout(0.0)
+
+
 class TestClock:
     def test_time_starts_at_zero(self):
         sim = Simulation()
@@ -358,6 +363,21 @@ class TestKernelContract:
         assert len(processed) == 7
         assert len(steps) == len(processed)
         assert sim.now == 3.0
+
+    def test_zero_delay_ties_run_in_scheduling_order(self):
+        """Events due at one instant run first-scheduled first: heap
+        entries are ``(time, sequence, event)``, nothing else breaks ties."""
+        sim = Simulation()
+        fired = []
+        sim.timeout(1.0).add_callback(lambda e: fired.append("timeout"))
+        for label in "abcde":
+            event = sim.event()
+            event.add_callback(lambda e, label=label: fired.append(label))
+            event.succeed()
+        sim.process(iter_once(sim, fired))
+        assert all(len(entry) == 3 for entry in sim._queue)
+        sim.run()
+        assert fired == ["a", "b", "c", "d", "e", "process", "timeout"]
 
     def test_cancelled_heap_top_is_skipped(self):
         sim = Simulation()
