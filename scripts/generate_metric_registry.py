@@ -44,11 +44,14 @@ from repro.analysis.engine import LintEngine  # noqa: E402
 PINNED_SOURCE = ROOT / "tests" / "test_metrics_stability.py"
 
 #: Names assembled once and stored on handles (e.g. the per-client counter
-#: names precomputed in ``api/session.py``), so no literal reaches an
+#: names precomputed in ``api/session.py``, the per-priority-class names
+#: cached by ``MetricsBatch.record_answer``), so no literal reaches an
 #: emission call for the sweep to find.
 EXTRA_PATTERNS = (
     "api.client.*.requests",
     "api.client.*.rejected",
+    "batch.priority.*.completed",
+    "batch.priority.*.failed",
 )
 
 HEADER = """\

@@ -9,8 +9,7 @@ operation), layered over the config defaults:
   (``None`` keeps the client type's natural class: FE -> signalling,
   PS -> provisioning);
 * ``retry_policy`` -- overrides ``UDRConfig.retry_policy`` for the
-  session's operations (``None`` inherits it on the batched paths; the
-  sequential path stays fail-fast, exactly like the legacy ``execute``);
+  session's operations (``None`` inherits it, on every path);
 * ``deadline_ticks`` -- a per-operation completion budget, in ticks of
   :data:`DEADLINE_TICK` from submit time.  An operation still queued or
   retrying when its deadline passes short-circuits with

@@ -10,9 +10,9 @@ site and a client type, obtained from
 ============================  ===============================================
 session                       core call it wraps
 ============================  ===============================================
-``session.call(op)``          ``udr.pipeline.execute`` (``DIRECT``) or
-                              ``udr.dispatcher.submit`` and wait
-                              (``DISPATCHER``)
+``session.call(op)``          ``udr.pipeline.execute``, a one-slot wave
+                              (``DIRECT``), or ``udr.dispatcher.submit``
+                              and wait (``DISPATCHER``)
 ``session.submit(op)``        the same, returning a future at once
 ``session.submit_many(ops)``  ``udr.pipeline.execute_batch`` -> futures
 ``session.execute_batch``     ``udr.pipeline.execute_batch`` -> responses
@@ -22,9 +22,9 @@ Routing follows ``UDRConfig.dispatch_mode``: under ``DISPATCHER`` a submit
 enqueues into the arrival-driven batch dispatcher (the client's name is the
 *source tag*, so all of a session's operations completing in one wave share
 a single grouped response event); under ``DIRECT`` a submit runs the
-pipeline in its own simulation process and ``call`` walks it inline --
-bit-for-bit ``udr.pipeline.execute`` when the session carries no QoS
-overrides.
+request's one-slot wave in its own simulation process and ``call`` runs
+it inline -- bit-for-bit ``udr.pipeline.execute`` when the session carries
+no QoS overrides.
 
 The session's :class:`~repro.api.qos.QoSProfile` stamps every operation
 with its priority class, retry policy and absolute deadline; per-operation
@@ -237,7 +237,8 @@ class Session:
                 not self.client._admit(effective.rate_limit):
             self._reject_over_quota(future)
             return future.result()
-        response = yield from self._drive_single(future, effective)
+        response = yield from self._execute(future, effective)
+        future._settle(response)
         return response
 
     def submit_many(self, operations: Sequence,
@@ -378,12 +379,16 @@ class Session:
         metrics.increment("api.admission.rejected")
         metrics.increment(self.client._rejected_counter)
 
-    def _drive_single(self, future: ResponseFuture, effective: QoSProfile):
+    def _execute(self, future: ResponseFuture, effective: QoSProfile):
+        """The pipeline generator that answers one ``DIRECT`` operation."""
         client = self.client
-        response = yield from client.udr.pipeline.execute(
+        return client.udr.pipeline.execute(
             future.request, client.client_type, client.site,
             priority=effective.priority, deadline=future.deadline,
             retry_policy=effective.retry_policy)
+
+    def _drive_single(self, future: ResponseFuture, effective: QoSProfile):
+        response = yield from self._execute(future, effective)
         future._settle(response)
         return response
 

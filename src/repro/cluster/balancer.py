@@ -68,15 +68,17 @@ def closest_point_of_access(network, client_site,
     access to the UDR close -- in network terms -- to any one application
     front-end, as long as the cost of doing so justifies it".
     """
-    candidates = [poa for poa in points_of_access if poa.can_serve()]
-    if not candidates:
-        return None
-    reachable = [poa for poa in candidates
-                 if network.reachable(client_site, poa.site)]
+    reachable = []
+    for poa in points_of_access:
+        if not poa.can_serve():
+            continue
+        site = poa.site
+        if not network.reachable(client_site, site):
+            continue
+        if site is client_site or site == client_site:
+            return poa
+        reachable.append(poa)
     if not reachable:
         return None
-    for poa in reachable:
-        if poa.site == client_site:
-            return poa
     return min(reachable,
                key=lambda poa: network.mean_one_way_latency(client_site, poa.site))

@@ -66,9 +66,10 @@ class ClientType(enum.Enum):
 class DispatchMode(enum.Enum):
     """How individual client requests reach the operation pipeline.
 
-    ``DIRECT`` (the default) is call-and-wait: every ``execute()`` walks the
-    pipeline on its own, and batching only happens when a caller hands the
-    pipeline an explicit batch.  ``DISPATCHER`` routes individual requests
+    ``DIRECT`` (the default) is call-and-wait: every ``execute()`` drives
+    its request as a one-slot wave in the caller's process, and larger
+    waves only form when a caller hands the pipeline an explicit batch.
+    ``DISPATCHER`` routes individual requests
     through the :class:`~repro.core.dispatcher.BatchDispatcher`: front-ends
     enqueue and the dispatcher forms admission waves by *actually waiting*
     up to ``batch_linger_ticks`` for late arrivals (or until
@@ -436,8 +437,8 @@ class UDRConfig:
     #: :class:`Priority` value.  Missing classes default to weight 1.
     priority_weights: Dict[str, int] = field(
         default_factory=lambda: dict(DEFAULT_PRIORITY_WEIGHTS))
-    #: Retry policy of the batch pipeline's RetryStage; ``None`` (the
-    #: default) fails fast exactly like the single-request path.
+    #: Retry policy of the pipeline's RetryStage for every request a
+    #: session does not override; ``None`` (the default) fails fast.
     retry_policy: Optional[RetryPolicy] = None
 
     # -- arrival-driven dispatch -------------------------------------------------------
@@ -472,11 +473,6 @@ class UDRConfig:
     #: keeps the oracle fail-over path bit-identical to not having the
     #: feature.
     membership: Optional[MembershipPolicy] = None
-
-    # -- observability ------------------------------------------------------------------
-    #: Completed requests buffered before the pipeline's metric batch is
-    #: flushed to the registry; 1 (the default) flushes per request.
-    metrics_batch_size: int = 1
 
     # -- misc ---------------------------------------------------------------------------
     seed: int = 0
@@ -525,8 +521,6 @@ class UDRConfig:
             if weight < 1:
                 raise ValueError(
                     f"priority weight of {name!r} must be at least 1")
-        if self.metrics_batch_size < 1:
-            raise ValueError("metrics batch size must be at least 1")
         if self.membership is not None and \
                 self.membership.quorum is not None and \
                 self.membership.quorum > self.total_sites:

@@ -188,12 +188,16 @@ class DispatchTicket:
     bracket the client-perceived latency, queue wait included.
     """
 
-    __slots__ = ("item", "enqueued_at", "event", "source", "response",
-                 "completed_at", "expired_in_queue")
+    __slots__ = ("item", "rank", "deadline", "enqueued_at", "event",
+                 "source", "response", "completed_at", "expired_in_queue")
 
     def __init__(self, item: BatchItem, enqueued_at: float, event,
                  source=None):
         self.item = item
+        #: The item's admission class and QoS deadline, as the
+        #: :class:`~repro.core.pipeline.AdmissionQueue` reads them.
+        self.rank = item.rank
+        self.deadline = item.deadline
         self.enqueued_at = enqueued_at
         self.event = event
         self.source = source

@@ -1,49 +1,41 @@
-"""Pipeline layer: one LDAP request as a sequence of composable stages.
+"""Pipeline layer: LDAP requests as admission waves of composable stages.
 
-:class:`OperationPipeline` walks a fixed sequence of stage objects, each
-owning one of the hops the paper describes:
+Every request walks one path, in waves.  :meth:`OperationPipeline.execute`
+(``DIRECT`` dispatch: call and wait in the caller's process) drives a
+one-slot wave; :meth:`OperationPipeline.execute_batch` orders an explicit
+batch and cuts it into waves; :meth:`OperationPipeline.execute_wave` drives
+one wave the :class:`~repro.core.dispatcher.BatchDispatcher` popped from
+its queue.  Each wave owns the hops the paper describes:
 
-* :class:`AdmissionStage` -- reach the closest Point of Access;
-* :class:`LdapPlanStage` -- LDAP server time and request translation;
-* :class:`LocateStage` -- resolve the data location, with the per-PoA
-  read-through cache fast path (:mod:`repro.core.location_cache`);
-* :class:`ReadPath` / :class:`SearchPath` / :class:`WritePath` -- the
-  intra-SE transaction against the chosen copy (master, slave when the
-  client's policy allows it, or a fallback master under multi-master);
-* :class:`ReplicateStage` -- the synchronous replication modes' commit cost;
-* :class:`RespondStage` -- the answer back to the client (lost responses are
-  counted in the ``response_lost`` metric).
+* admission -- a request whose deadline already passed is answered
+  ``TIME_LIMIT_EXCEEDED`` on the spot (no hop); the rest reach the closest
+  Point of Access with one shared client-to-PoA transfer per client site
+  (:meth:`AdmissionStage.reach_poa`);
+* :class:`LdapPlanStage` -- one LDAP service charge per site group, and
+  each request's translation into an operation plan;
+* :class:`LocateStage` -- one location probe per distinct identity, with
+  the per-PoA read-through cache fast path
+  (:mod:`repro.core.location_cache`);
+* one fan-out loop in :meth:`OperationPipeline._run_wave` runs the
+  transactional tail per request in admission order, wrapped by
+  :class:`RetryStage` (bounded retries with backoff on transient codes,
+  re-locating on retry): :class:`ReadPath` / :class:`SearchPath` /
+  :class:`WritePath` against the chosen copy, and :class:`ReplicateStage`
+  for the synchronous replication modes' commit cost.  With
+  ``UDRConfig.coalesce_writes`` a wave's writes against one partition
+  instead share one multi-record intra-SE transaction
+  (:class:`_CoalescedGroup`): one begin/commit charge per partition per
+  wave, a failing record rolled back to its savepoint.  Both write shapes
+  take every write decision from :class:`WritePath`;
+* :class:`RespondStage` -- one shared PoA-to-client transfer answers each
+  site group (lost responses are counted in ``response_lost``).
 
 Stages share a per-request :class:`OperationContext` and signal failures by
 raising :class:`OperationFailure`, which the pipeline maps to an LDAP result
 code -- never an exception to the caller, exactly as a directory server
-would answer.
-
-:meth:`OperationPipeline.execute_batch` (explicit batches) and
-:meth:`OperationPipeline.execute_wave` (one pre-formed wave of the
-:class:`~repro.core.dispatcher.BatchDispatcher`, which really lingered in
-its queue and so pays no linger surcharge) carry N requests together:
-
-* :class:`BatchAdmissionStage` -- weighted priority dequeue, waves of at
-  most ``UDRConfig.batch_max_size`` requests, one shared client-to-PoA
-  transfer per client site;
-* one LDAP service charge per site group, and :meth:`LocateStage.run_group`
-  resolves each distinct identity once;
-* one fan-out loop (:meth:`OperationPipeline._fan_out`) runs the
-  transactional tail per request in global admission order, wrapped by
-  :class:`RetryStage` (bounded retries with backoff on transient codes,
-  re-locating on retry).  With ``UDRConfig.coalesce_writes`` a wave's
-  writes against one partition instead share one multi-record intra-SE
-  transaction (:class:`_CoalescedGroup`): one begin/commit charge per
-  partition per wave, a failing record rolled back to its savepoint.
-  Both write shapes take every write decision from :class:`WritePath`;
-* one shared PoA-to-client transfer answers each site group, and the
-  metric batch is flushed once at the end.
-
-Metric recording is batched: stages record into a
-:class:`~repro.metrics.collector.MetricsBatch` that is flushed every
-``UDRConfig.metrics_batch_size`` completed requests (default 1, i.e. at the
-end of each request).
+would answer.  Stages record metrics into a
+:class:`~repro.metrics.collector.MetricsBatch` that each wave flushes once,
+at its end.
 """
 
 from __future__ import annotations
@@ -86,21 +78,18 @@ BATCH_LINGER_TICK = 1 * units.MILLISECOND
 #: The priority classes in dequeue order (highest first); a
 #: :class:`BatchItem`'s ``rank`` indexes this tuple.
 PRIORITY_ORDER: Tuple[Priority, ...] = tuple(Priority)
-_RANK_OF = {priority: rank for rank, priority in enumerate(PRIORITY_ORDER)}
+_PRIORITY_VALUES = tuple(priority.value for priority in PRIORITY_ORDER)
 _INFINITY = float("inf")
 
 
 class OperationFailure(Exception):
     """Control-flow exception mapping operational failures to result codes."""
 
-    def __init__(self, code: ResultCode, reason: str, respond: bool = True,
+    def __init__(self, code: ResultCode, reason: str,
                  retryable: bool = True):
         super().__init__(reason)
         self.code = code
         self.reason = reason
-        #: Whether the PoA still sends an answer back to the client (false
-        #: when the client could not even reach a PoA).
-        self.respond = respond
         #: Whether a retry policy may re-drive the request.  False for
         #: failures raised *after* the intra-SE commit (synchronous
         #: replication shortfall): the write is not idempotent any more, so
@@ -110,12 +99,14 @@ class OperationFailure(Exception):
 
 
 class OperationContext:
-    """Everything one in-flight request's stages share."""
+    """Everything one in-flight request's stages share, and its slot in an
+    admission wave."""
 
     __slots__ = ("request", "client_type", "client_site", "start", "poa",
                  "plan", "located_element", "entries", "served_from",
-                 "priority", "attempts", "location_resolved", "deadline",
-                 "retry_policy", "next_cursor", "has_more", "epoch")
+                 "rank", "attempts", "location_resolved",
+                 "deadline", "retry_policy", "next_cursor", "has_more",
+                 "epoch", "failure", "runnable", "response")
 
     def __init__(self, request: LdapRequest, client_type: ClientType,
                  client_site: Site, start: float,
@@ -125,13 +116,17 @@ class OperationContext:
         self.request = request
         self.client_type = client_type
         self.client_site = client_site
+        #: When the request's wave started (its latency clock).
         self.start = start
         self.poa: Optional[PointOfAccess] = None
         self.plan: Optional[OperationPlan] = None
         self.located_element: Optional[str] = None
         self.entries: List[dict] = []
         self.served_from = ""
-        self.priority = priority or Priority.for_client(client_type)
+        #: Index of the request's priority class in :data:`PRIORITY_ORDER`
+        #: (``priority``, else the client type's natural class).
+        self.rank = PRIORITY_ORDER.index(
+            priority or Priority.for_client(client_type))
         #: Retries the RetryStage spent on this request (0 = first try).
         self.attempts = 0
         #: Whether data location ran (``located_element is None`` is a valid
@@ -141,8 +136,8 @@ class OperationContext:
         #: ``None`` -- the legacy default -- never expires.
         self.deadline = deadline
         #: The RetryPolicy governing this request's data path; resolved at
-        #: context creation (per-session override, else the config default
-        #: on the batched paths) so the RetryStage needs no fallback logic.
+        #: context creation (per-session override, else the config default)
+        #: so the RetryStage needs no fallback logic.
         self.retry_policy = retry_policy
         #: Keyset cursor and continuation flag of a paged SEARCH page.
         self.next_cursor: Optional[str] = None
@@ -150,10 +145,13 @@ class OperationContext:
         #: Promotion epoch of the mastership that served a write (0 while
         #: the membership plane has never promoted, or for reads).
         self.epoch = 0
-
-    def expired(self, now: float) -> bool:
-        """Whether the request's deadline (if any) has passed."""
-        return self.deadline is not None and now >= self.deadline
+        #: The failure the request will be answered with, if any.
+        self.failure: Optional[OperationFailure] = None
+        #: Whether the request reached the data path (admitted and
+        #: translated).
+        self.runnable = False
+        #: The answer, once the wave has given it.
+        self.response: Optional[LdapResponse] = None
 
 
 class PipelineStage:
@@ -167,24 +165,29 @@ class PipelineStage:
         self.network = pipeline.deployment.network
 
     def element_round_trip(self, poa: PointOfAccess, element, reason: str,
-                           ledger: Optional["_TransferLedger"] = None):
+                           ledger: Optional[set] = None):
         """Generator: the PoA-to-storage-element round trip of a data path.
 
-        Skipped for co-located copies; under a batch, the wave's ledger
-        lets requests targeting copies at the same site share one bulk
-        round trip.  Failed transfers are never recorded in the ledger, so
-        every request observes the failure exactly as it would alone.
+        Skipped for co-located copies.  ``ledger`` is a wave's set of
+        ``(PoA site name, element site name)`` round trips already paid
+        (names are unique within a topology, and hash without running
+        Python code): requests of one wave targeting copies at the same
+        site share one bulk round trip.  Failed transfers are never
+        recorded in it, so every request observes the failure exactly as
+        it would alone.
         """
-        if poa.site == element.site:
+        source, destination = poa.site, element.site
+        if source is destination or source == destination:
             return
-        if ledger is not None and ledger.covers(poa.site, element.site):
+        leg = (source.name, destination.name)
+        if ledger is not None and leg in ledger:
             return
         try:
-            yield from self.network.round_trip(poa.site, element.site)
+            yield from self.network.round_trip(source, destination)
         except NetworkError:
             raise OperationFailure(ResultCode.UNAVAILABLE, reason) from None
         if ledger is not None:
-            ledger.record(poa.site, element.site)
+            ledger.add(leg)
 
     def reachable_members(self, replica_set: ReplicaSet,
                           site: Site) -> List[str]:
@@ -198,77 +201,56 @@ class PipelineStage:
 class AdmissionStage(PipelineStage):
     """Reach the closest serving Point of Access."""
 
-    def run(self, ctx: OperationContext):
-        ctx.poa = yield from self.reach_poa(ctx.client_site)
-
     def reach_poa(self, client_site: Site) -> "PointOfAccess":
-        """Generator: choose the serving PoA and pay the client-side hop.
-
-        Shared by the single-request walk and the batched admission (which
-        pays this once per site group); raises
-        :class:`OperationFailure` (``respond=False``) when no PoA serves.
-        """
+        """Generator: choose the serving PoA and pay the client-side hop,
+        once per site group of a wave; raises :class:`OperationFailure`
+        when no PoA serves (no answer can travel back then)."""
         poa = closest_point_of_access(self.network, client_site,
                                       self.deployment.points_of_access)
         if poa is None:
-            raise OperationFailure(ResultCode.UNAVAILABLE, "no reachable PoA",
-                                   respond=False)
+            raise OperationFailure(ResultCode.UNAVAILABLE, "no reachable PoA")
         try:
             yield from self.network.transfer(client_site, poa.site)
         except NetworkError:
             raise OperationFailure(ResultCode.UNAVAILABLE,
-                                   "client to PoA failed",
-                                   respond=False) from None
+                                   "client to PoA failed") from None
         return poa
 
 
 class LdapPlanStage(PipelineStage):
     """LDAP server processing: request translation and service time."""
 
-    def run(self, ctx: OperationContext):
-        if not ctx.poa.available:
-            # The PoA was up when the plan stage picked it but went down
-            # (site disaster, balancer failure) during the client hop; a
-            # retry relocates to a surviving PoA.
-            raise OperationFailure(ResultCode.UNAVAILABLE,
-                                   f"PoA {ctx.poa.name} failed in flight")
-        server = ctx.poa.select_server()
-        failure = self.translate(ctx, server)
-        yield self.sim.timeout(server.service_time())
-        if failure is not None:
-            raise failure
-
-    @staticmethod
-    def translate(ctx: OperationContext, server) -> Optional[OperationFailure]:
-        """Translate one request into its plan; returns the translation
-        failure (if any) so batch waves can collect per-request errors
-        while charging the server's service time once."""
-        plan = server.plan(ctx.request)
-        ctx.plan = plan
-        if not plan.ok:
-            return OperationFailure(plan.error, plan.diagnostic)
-        return None
-
-    def run_group(self, poa: PointOfAccess, slots: List["_BatchSlot"]):
+    def run_group(self, poa: PointOfAccess, group: List[OperationContext]):
         """Generator: one server and one service-time charge for a site
         group; translation is still per request (each may fail
-        independently, recorded on its slot)."""
+        independently, recorded on its context).
+
+        Returns whether the group translated a CREATE (see
+        :meth:`LocateStage.run_group`'s ``defer_unknown``).
+        """
         if not poa.available:
-            # Mid-flight PoA loss fails the whole site group retryably
-            # (each request relocates) instead of killing the wave.
-            for slot in slots:
-                slot.failure = OperationFailure(
-                    ResultCode.UNAVAILABLE,
-                    f"PoA {poa.name} failed in flight")
-            return
+            # The PoA was up when admission picked it but went down (site
+            # disaster, balancer failure) during the client hop: the whole
+            # site group fails, each request on its own.
+            failure = OperationFailure(ResultCode.UNAVAILABLE,
+                                       f"PoA {poa.name} failed in flight")
+            for ctx in group:
+                ctx.poa = poa
+                ctx.failure = failure
+            return False
         server = poa.select_server()
         yield self.sim.timeout(server.service_time())
-        for slot in slots:
-            failure = self.translate(slot.ctx, server)
-            if failure is None:
-                slot.runnable = True
+        creates = False
+        plan_of = server.plan
+        for ctx in group:
+            ctx.poa = poa
+            plan = ctx.plan = plan_of(ctx.request)
+            if plan.error is None:
+                ctx.runnable = True
+                creates = creates or plan.kind is PlanKind.CREATE
             else:
-                slot.failure = failure
+                ctx.failure = OperationFailure(plan.error, plan.diagnostic)
+        return creates
 
 
 class LocateStage(PipelineStage):
@@ -299,54 +281,61 @@ class LocateStage(PipelineStage):
             ctx.located_element = None
         ctx.location_resolved = True
 
-    def run_group(self, slots: List["_BatchSlot"],
+    def run_group(self, group: List[OperationContext],
                   defer_unknown: bool = True) -> None:
-        """Resolve a wave of contexts, one probe per distinct identity.
+        """Resolve a site group's runnable contexts, one probe per distinct
+        identity.
 
         Requests addressing the same ``(identity type, value)`` share a
         single location-cache lookup (or locator probe on a miss); failures
-        are recorded per slot so one bad identity never fails its
-        group-mates.
+        are recorded per context so one bad identity never fails its
+        group-mates.  A request whose deadline has passed is left
+        unresolved: the fan-out answers it ``TIME_LIMIT_EXCEEDED`` without
+        touching the cache.
 
         ``defer_unknown`` controls identities unknown at wave start: when
-        the wave contains placement-changing writes (CREATE/DELETE), an
-        unknown identity may be created by an earlier request of the same
-        batch, so resolution is deferred to each request's own turn in
-        admission order (the RetryStage re-runs locate when unresolved).
-        In a wave without such writes the unknown verdict is final and is
-        applied immediately, keeping the one-probe-per-identity contract.
+        the wave contains a CREATE, an unknown identity may be created by
+        an earlier request of the same wave, so resolution is deferred to
+        each request's own turn in admission order (the fan-out re-runs
+        locate when unresolved).  In a wave without creates the unknown
+        verdict is final and is applied immediately, keeping the
+        one-probe-per-identity contract.
         """
-        by_identity: Dict[Tuple[str, str], List[_BatchSlot]] = {}
-        for slot in slots:
-            plan = slot.ctx.plan
+        now = self.sim.now
+        by_identity: Dict[Tuple[str, str], List[OperationContext]] = {}
+        for ctx in group:
+            if not ctx.runnable or \
+                    ctx.deadline is not None and now >= ctx.deadline:
+                continue
+            plan = ctx.plan
             if plan.kind is PlanKind.SEARCH:
-                slot.ctx.located_element = None
-                slot.ctx.location_resolved = True
+                ctx.located_element = None
+                ctx.location_resolved = True
                 continue
             by_identity.setdefault(
-                (plan.identity_type, plan.identity_value), []).append(slot)
-        for group in by_identity.values():
+                (plan.identity_type, plan.identity_value), []).append(ctx)
+        for same in by_identity.values():
             try:
-                location = self._resolve(group[0].ctx)
+                location = self._resolve(same[0])
             except LocatorSyncInProgress:
                 failure = OperationFailure(ResultCode.BUSY, "locator syncing")
-                for slot in group:
-                    slot.failure = failure
+                for ctx in same:
+                    ctx.failure = failure
                 continue
             except UnknownIdentity:
                 if defer_unknown:
                     continue
-                for slot in group:
-                    if slot.ctx.plan.kind is PlanKind.CREATE:
-                        slot.ctx.located_element = None
-                        slot.ctx.location_resolved = True
+                for ctx in same:
+                    if ctx.plan.kind is PlanKind.CREATE:
+                        ctx.located_element = None
+                        ctx.location_resolved = True
                     else:
-                        slot.failure = OperationFailure(
+                        ctx.failure = OperationFailure(
                             ResultCode.NO_SUCH_OBJECT, "unknown identity")
                 continue
-            for slot in group:
-                slot.ctx.located_element = location
-                slot.ctx.location_resolved = True
+            for ctx in same:
+                ctx.located_element = location
+                ctx.location_resolved = True
 
     def _resolve(self, ctx: OperationContext) -> str:
         poa, plan = ctx.poa, ctx.plan
@@ -364,32 +353,11 @@ class LocateStage(PipelineStage):
         return location
 
 
-class _TransferLedger:
-    """PoA-to-element round trips already paid within one admission wave.
-
-    Requests of one wave that target copies at the same site ride a single
-    bulk transfer: the first payer charges the round trip, the rest skip it.
-    Failed transfers are *not* recorded, so every request against an
-    unreachable site observes the failure exactly as it would alone.
-    """
-
-    __slots__ = ("_paid",)
-
-    def __init__(self):
-        self._paid: set = set()
-
-    def covers(self, source: Site, destination: Site) -> bool:
-        return (source, destination) in self._paid
-
-    def record(self, source: Site, destination: Site) -> None:
-        self._paid.add((source, destination))
-
-
 class ReadPath(PipelineStage):
     """Serve a read from the best reachable copy the client may use."""
 
     def run(self, ctx: OperationContext,
-            ledger: Optional[_TransferLedger] = None):
+            ledger: Optional[set] = None):
         plan, poa, client_type = ctx.plan, ctx.poa, ctx.client_type
         replica_set = self.deployment.replica_set_of_element(
             ctx.located_element)
@@ -492,7 +460,8 @@ class ReadPath(PipelineStage):
         # Prefer a copy co-located with the PoA, then the closest one.
         choice = None
         for name in reachable:
-            if replica_set.element(name).site == poa_site:
+            site = replica_set.element(name).site
+            if site is poa_site or site == poa_site:
                 choice = name
                 break
         if choice is None:
@@ -539,7 +508,7 @@ class SearchPath(PipelineStage):
     """
 
     def run(self, ctx: OperationContext,
-            ledger: Optional[_TransferLedger] = None):
+            ledger: Optional[set] = None):
         from repro.ldap.filters import FilterPlanner, parse_filter
         plan = ctx.plan
         parsed = parse_filter(plan.filter_text)
@@ -560,7 +529,7 @@ class SearchPath(PipelineStage):
 
     def _run_indexed(self, ctx: OperationContext, parsed, filter_plan,
                      after: Optional[Tuple[str, str]],
-                     ledger: Optional[_TransferLedger]):
+                     ledger: Optional[set]):
         plan, poa = ctx.plan, ctx.poa
         catalog = self.deployment.catalog
         scoped = catalog.scope_candidates(plan.base_dn, plan.scope)
@@ -583,7 +552,7 @@ class SearchPath(PipelineStage):
             ordered = [pair for pair in ordered if pair > after]
         # The interval scan, intersection and sort are LDAP-server CPU work.
         yield self.sim.timeout(comparisons * poa.ldap_pool.service_time())
-        search_ledger = ledger if ledger is not None else _TransferLedger()
+        search_ledger = ledger if ledger is not None else set()
         page_size = plan.page_size
         matches: List[Tuple[str, str, dict]] = []
         consumed = 0
@@ -605,7 +574,7 @@ class SearchPath(PipelineStage):
                    exhausted=consumed >= len(ordered))
 
     def _fetch(self, ctx: OperationContext, replica_set: ReplicaSet,
-               entry_id: str, ledger: _TransferLedger):
+               entry_id: str, ledger: set):
         """Generator: read one candidate record from its best copy.
 
         Returns the raw stored record, or ``None`` when the record vanished
@@ -633,11 +602,11 @@ class SearchPath(PipelineStage):
 
     def _run_scan(self, ctx: OperationContext, parsed,
                   after: Optional[Tuple[str, str]],
-                  ledger: Optional[_TransferLedger]):
+                  ledger: Optional[set]):
         plan, poa = ctx.plan, ctx.poa
         base_dn, scope = plan.base_dn, plan.scope
         eval_time = poa.ldap_pool.service_time()
-        search_ledger = ledger if ledger is not None else _TransferLedger()
+        search_ledger = ledger if ledger is not None else set()
         base_exists = False
         matches: List[Tuple[str, str, dict]] = []
         for replica_set in self.deployment.replica_sets.values():
@@ -749,7 +718,7 @@ class WritePath(PipelineStage):
     """
 
     def run(self, ctx: OperationContext,
-            ledger: Optional[_TransferLedger] = None):
+            ledger: Optional[set] = None):
         plan = ctx.plan
         self.place(ctx)
         partition_index, target_name, element, copy = \
@@ -785,7 +754,7 @@ class WritePath(PipelineStage):
                 plan.attributes.get("imsi", ""))
 
     def write_target(self, ctx: OperationContext,
-                     ledger: Optional[_TransferLedger] = None):
+                     ledger: Optional[set] = None):
         """Generator: choose the located partition's write copy and pay the
         PoA round trip to it; returns ``(partition_index, target_name,
         element, copy)`` or raises ``UNAVAILABLE``."""
@@ -866,7 +835,7 @@ class WritePath(PipelineStage):
         """Apply one write plan inside ``transaction`` (no begin/commit).
 
         The per-record half of the write path, shared by the one-transaction-
-        per-write sequential path and the coalesced multi-record transaction
+        per-write path and the coalesced multi-record transaction
         of a batch wave.  Business errors raise :class:`OperationFailure`
         *without* touching the transaction (the caller owns its lifecycle);
         a :class:`WriteConflict` from the no-wait lock grab propagates raw --
@@ -908,7 +877,7 @@ class _CoalescedGroup:
     """
 
     __slots__ = ("partition_index", "target_name", "element", "copy",
-                 "transaction", "slots", "undos")
+                 "transaction", "members", "undos")
 
     def __init__(self, partition_index: int, target_name: str, element,
                  copy):
@@ -917,8 +886,8 @@ class _CoalescedGroup:
         self.element = element
         self.copy = copy
         self.transaction = copy.transactions.begin()
-        #: Slots whose record was applied (still uncommitted) in this group.
-        self.slots: List["_BatchSlot"] = []
+        #: Requests whose record was applied (still uncommitted) here.
+        self.members: List[OperationContext] = []
         #: Undo callables for the eager identity bookkeeping of applied
         #: CREATE/DELETE records, run (in reverse) when the whole group's
         #: writes are discarded -- an abort while applying, a fence at
@@ -949,9 +918,6 @@ class ReplicateStage(PipelineStage):
 class RespondStage(PipelineStage):
     """The answer travels back from the PoA to the client."""
 
-    def run(self, ctx: OperationContext):
-        yield from self.run_group(ctx.poa.site, ctx.client_site, 1)
-
     def run_group(self, poa_site: Site, client_site: Site, answers: int):
         """One shared transfer carries a wave's ``answers`` back to a site.
 
@@ -973,8 +939,8 @@ class BatchItem:
     (FE -> signalling, PS -> provisioning); bulk provisioning runs pass
     :attr:`Priority.BULK` explicitly.  ``deadline`` (absolute virtual time)
     and ``retry_policy`` carry per-session QoS overrides from the
-    :mod:`repro.api` layer; both default to the legacy behaviour (no
-    deadline, the config's retry policy).
+    :mod:`repro.api` layer; they default to no deadline and the config's
+    retry policy.
     """
 
     request: LdapRequest
@@ -988,25 +954,11 @@ class BatchItem:
     rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", _RANK_OF[
-            self.priority or Priority.for_client(self.client_type)])
+        object.__setattr__(self, "rank", PRIORITY_ORDER.index(
+            self.priority or Priority.for_client(self.client_type)))
 
     def priority_class(self) -> Priority:
         return PRIORITY_ORDER[self.rank]
-
-
-class _BatchSlot:
-    """Mutable per-request state threaded through one batch run."""
-
-    __slots__ = ("item", "index", "ctx", "failure", "runnable")
-
-    def __init__(self, item: BatchItem, index: int):
-        self.item = item
-        self.index = index
-        self.ctx: Optional[OperationContext] = None
-        self.failure: Optional[OperationFailure] = None
-        #: Whether the slot reached the data path (admitted and translated).
-        self.runnable = False
 
 
 class AdmissionQueue:
@@ -1025,8 +977,8 @@ class AdmissionQueue:
     delete lazily: an entry removed by one view stays in the others until
     it surfaces, and is skipped there because its seq is no longer live.
 
-    Entries are anything with an ``item`` (:class:`BatchItem`): batch slots
-    or dispatcher tickets.
+    Entries are anything with a ``rank`` and a ``deadline``: batch items,
+    request contexts or dispatcher tickets.
     """
 
     __slots__ = ("_weights", "_heaps", "_counts", "_live", "_deadlines",
@@ -1053,15 +1005,14 @@ class AdmissionQueue:
 
     def count(self, priority: Priority) -> int:
         """Live entries of one priority class."""
-        return self._counts[_RANK_OF[priority]]
+        return self._counts[PRIORITY_ORDER.index(priority)]
 
     def push(self, entry) -> None:
-        item = entry.item
         seq = self._next_seq
         self._next_seq = seq + 1
         self._live[seq] = entry
-        deadline = item.deadline
-        rank = item.rank
+        deadline = entry.deadline
+        rank = entry.rank
         self._counts[rank] += 1
         if deadline is None:
             heappush(self._heaps[rank], (_INFINITY, seq, entry))
@@ -1091,7 +1042,7 @@ class AdmissionQueue:
         """
         live = self._live
         counts = self._counts
-        skip = None if defer is None else _RANK_OF[defer]
+        skip = None if defer is None else PRIORITY_ORDER.index(defer)
         remaining = min(limit, len(live) - (0 if skip is None
                                             else counts[skip]))
         wave = []
@@ -1123,7 +1074,7 @@ class AdmissionQueue:
             seq = heappop(deadlines)[1]
             entry = live.pop(seq, None)
             if entry is not None:
-                counts[entry.item.rank] -= 1
+                counts[entry.rank] -= 1
                 expired.append((seq, entry))
         if expired:
             # A class heap sheds its expired entries only as pop_wave
@@ -1163,19 +1114,21 @@ class BatchAdmissionStage(PipelineStage):
     site share a single client-to-PoA transfer.
     """
 
-    def order(self, slots: Sequence[_BatchSlot],
-              limit: Optional[int] = None) -> List[_BatchSlot]:
-        """The weighted-priority admission order (slack-sorted in a class).
+    def order(self, entries: Sequence, limit: Optional[int] = None) -> list:
+        """The weighted-priority admission order (slack-sorted in a class)
+        of :class:`AdmissionQueue` entries.
 
         With ``limit`` the round robin stops after ``limit`` picks, so
-        ``order(slots, k) == order(slots)[:k]`` without ordering the rest.
+        ``order(entries, k) == order(entries)[:k]`` without ordering the
+        rest.
         """
         queue = AdmissionQueue(self.config)
-        for slot in slots:
-            queue.push(slot)
-        return queue.pop_wave(len(slots) if limit is None else limit)
+        for entry in entries:
+            queue.push(entry)
+        return queue.pop_wave(len(entries) if limit is None else limit)
 
-    def waves(self, ordered: Sequence[_BatchSlot]) -> List[List[_BatchSlot]]:
+    def waves(self, ordered: Sequence[OperationContext]
+              ) -> List[List[OperationContext]]:
         """Cut the admission order into waves of at most ``batch_max_size``."""
         size = self.config.batch_max_size
         return [list(ordered[start:start + size])
@@ -1191,10 +1144,9 @@ class RetryStage(PipelineStage):
     transient, it waits the policy's backoff and tries again -- re-running
     data location from scratch, so a fail-over that invalidated the PoA
     caches between attempts is honoured instead of retrying against the
-    stale location.  The policy is resolved at context
-    creation (the per-session QoS override, else ``UDRConfig.retry_policy``
-    on the batched paths, else ``None``); without one the stage is a plain
-    pass-through, preserving sequential-path behaviour bit for bit.
+    stale location.  The policy is resolved at context creation (the
+    per-session QoS override, else ``UDRConfig.retry_policy``, else
+    ``None``); without one the stage is a plain pass-through.
 
     Deadline propagation: a context whose ``deadline`` has passed
     short-circuits with ``TIME_LIMIT_EXCEEDED`` before touching the data
@@ -1204,13 +1156,14 @@ class RetryStage(PipelineStage):
 
     def run(self, ctx: OperationContext,
             pending_failure: Optional[OperationFailure] = None,
-            ledger: Optional["_TransferLedger"] = None):
+            ledger: Optional[set] = None):
         policy = ctx.retry_policy
         batch = self.pipeline.batch
         failure = pending_failure
         attempt = 0
         while True:
-            if failure is None and ctx.expired(self.sim.now):
+            if failure is None and ctx.deadline is not None and \
+                    self.sim.now >= ctx.deadline:
                 batch.increment("api.deadline_expired")
                 raise OperationFailure(ResultCode.TIME_LIMIT_EXCEEDED,
                                        "deadline expired", retryable=False)
@@ -1273,8 +1226,7 @@ class OperationPipeline:
         self.deployment = deployment
         self.metrics = metrics
         self.caches = caches
-        self.batch = MetricsBatch(metrics,
-                                  flush_threshold=config.metrics_batch_size)
+        self.batch = MetricsBatch(metrics)
         self.admission = AdmissionStage(self)
         self.plan_stage = LdapPlanStage(self)
         self.locate = LocateStage(self)
@@ -1309,40 +1261,25 @@ class OperationPipeline:
                 client_site: Site, priority: Optional[Priority] = None,
                 deadline: Optional[float] = None,
                 retry_policy: Optional[RetryPolicy] = None):
-        """Generator: run one LDAP request through the stages.
+        """Generator: run one LDAP request as a one-slot wave.
 
+        ``DIRECT`` dispatch's arrival policy: the wave runs in the caller's
+        process, so the caller waits exactly as long as the request takes.
         Returns an :class:`~repro.ldap.operations.LdapResponse`; never raises
-        for operational failures -- they are encoded as result codes, exactly
-        as a directory server would answer.  ``UDRConfig.retry_policy`` does
-        *not* apply here: a single request fails fast, retries are a batch
-        admission feature (:meth:`execute_batch`) -- unless the caller (a
-        session with a QoS override) passes ``retry_policy`` explicitly.
-        ``deadline`` (absolute virtual time) short-circuits expired requests
-        with ``TIME_LIMIT_EXCEEDED`` before they consume any pipeline hop.
+        for operational failures -- they are encoded as result codes,
+        exactly as a directory server would answer.  ``retry_policy``
+        overrides ``UDRConfig.retry_policy``.  A ``deadline`` (absolute
+        virtual time) already passed is answered ``TIME_LIMIT_EXCEEDED``
+        without any hop; one that passes in flight is answered where the
+        wave notices it.
         """
-        ctx = OperationContext(request, client_type, client_site,
-                               start=self.sim.now, priority=priority,
-                               deadline=deadline, retry_policy=retry_policy)
-        if ctx.expired(self.sim.now):
-            # Expired before admission: no PoA hop, no LDAP charge, nothing.
-            self.batch.increment("api.deadline_expired")
-            return self._finish(ctx, ResultCode.TIME_LIMIT_EXCEEDED,
-                                reason="deadline expired")
-        try:
-            yield from self.admission.run(ctx)
-            yield from self.plan_stage.run(ctx)
-            # The data path rides the retry stage: with neither a policy nor
-            # a deadline on the context it is a pure pass-through (locate
-            # plus read/write), bit for bit the legacy sequential walk.
-            yield from self.retry_stage.run(ctx)
-        except OperationFailure as failure:
-            if failure.respond:
-                yield from self.respond.run(ctx)
-            return self._finish(ctx, failure.code, reason=failure.reason)
-        yield from self.respond.run(ctx)
-        return self._finish(ctx, ResultCode.SUCCESS)
-
-    # -- the batched operation path ------------------------------------------------
+        ctx = OperationContext(
+            request, client_type, client_site, self.sim.now, priority,
+            deadline, retry_policy if retry_policy is not None
+            else self.config.retry_policy)
+        yield from self._run_wave([ctx], charge_linger=False)
+        self.batch.flush()
+        return ctx.response
 
     def execute_batch(self, items: Sequence[BatchItem]):
         """Generator: carry N requests through the stages together.
@@ -1350,140 +1287,146 @@ class OperationPipeline:
         ``items`` is a sequence of :class:`BatchItem`.  Returns the list of
         :class:`~repro.ldap.operations.LdapResponse` in submission order.
 
-        Equivalence: result codes and final store state are identical to N
-        sequential :meth:`execute` calls issued in the batch's *admission
-        order* -- which preserves submission order within each priority
-        class but interleaves the classes by weight.  For workloads whose
-        outcome does not depend on cross-class ordering (in particular,
-        when no identity is written by one class and addressed by another
-        in the same batch) this equals plain submission order; the property
-        is pinned by ``tests/test_batch_equivalence.py``.  The batch
-        amortises the shared hops and flushes the metric batch exactly once
-        at the end.
+        The batch is put in admission order (:class:`BatchAdmissionStage`)
+        and cut into waves of at most ``UDRConfig.batch_max_size``; an
+        under-filled wave pays the ``batch_linger_ticks`` surcharge.  Result
+        codes and final store state equal those of the same requests
+        executed one by one in admission order -- which preserves
+        submission order within each priority class but interleaves the
+        classes by weight (pinned by ``tests/test_batch_equivalence.py``).
+        The metric batch is flushed exactly once, after the last wave.
         """
-        slots = [_BatchSlot(item, index) for index, item in enumerate(items)]
-        responses: List[Optional[LdapResponse]] = [None] * len(slots)
-        waves = self.batch_admission.waves(self.batch_admission.order(slots))
+        contexts = self._contexts(items)
+        admission = self.batch_admission
         self.batch.increment("batch.batches")
-        for wave in waves:
-            yield from self._run_wave(wave, responses)
+        for wave in admission.waves(admission.order(contexts)):
+            yield from self._run_wave(wave)
         self.batch.flush()
-        return responses
+        return [ctx.response for ctx in contexts]
 
     def execute_wave(self, items: Sequence[BatchItem]):
-        """Generator: drive one pre-formed admission wave through the stages.
+        """Generator: drive one wave, in the given order, through the stages.
 
-        The arrival-driven :class:`~repro.core.dispatcher.BatchDispatcher`'s
-        unit of work: the wave was already sized (``<= batch_max_size``) and
-        already *really* lingered in the dispatch queue, so it is not cut
-        into sub-waves and never pays the explicit-batch linger surcharge.
-        Responses come back in ``items`` order; the metric batch flushes
-        exactly once.
+        The :class:`~repro.core.dispatcher.BatchDispatcher`'s unit of work:
+        its queue pops each wave already sized (``<= batch_max_size``) and
+        in admission order, and the wave really lingered there, so it never
+        pays the explicit-batch linger surcharge.  Responses come back in
+        ``items`` order; the metric batch flushes exactly once.
         """
-        slots = [_BatchSlot(item, index) for index, item in enumerate(items)]
-        responses: List[Optional[LdapResponse]] = [None] * len(slots)
-        yield from self._run_wave(self.batch_admission.order(slots),
-                                  responses, charge_linger=False)
+        contexts = self._contexts(items)
+        yield from self._run_wave(contexts, charge_linger=False)
         self.batch.flush()
-        return responses
+        return [ctx.response for ctx in contexts]
 
-    def _run_wave(self, wave: List[_BatchSlot],
-                  responses: List[Optional[LdapResponse]],
+    def _contexts(self, items: Sequence[BatchItem]) -> List[OperationContext]:
+        """One context per item, in ``items`` order."""
+        now = self.sim.now
+        default_policy = self.config.retry_policy
+        return [OperationContext(
+                    item.request, item.client_type, item.client_site, now,
+                    PRIORITY_ORDER[item.rank], item.deadline,
+                    item.retry_policy if item.retry_policy is not None
+                    else default_policy)
+                for item in items]
+
+    def _run_wave(self, wave: List[OperationContext],
                   charge_linger: bool = True):
         """Generator: drive one admission wave through the stages.
 
-        The shared front of the pipeline (PoA hop, LDAP service charge,
-        request translation, group location probes) runs once per client
-        site; the transactional tail then fans out over the *whole* wave in
-        global admission order -- not site group by site group -- so
-        dependent requests of one priority class behave exactly as
-        sequential execution regardless of which sites they arrive from.
-        One shared answer transfer per site group closes the wave.
+        A request whose deadline has already passed is answered
+        ``TIME_LIMIT_EXCEEDED`` at once, with zero latency and no hop.  The
+        shared front of the pipeline (PoA hop, LDAP service charge, request
+        translation, group location probes) runs once per client site; the
+        transactional tail then fans out over the *whole* wave in admission
+        order -- not site group by site group -- so dependent requests of
+        one priority class behave exactly as sequential execution
+        regardless of which sites they arrive from.  One shared answer
+        transfer per site group closes the wave, and each context gets its
+        ``response``.
 
         ``charge_linger`` applies the fixed linger surcharge that models an
-        under-filled *explicit* batch waiting for late arrivals; the
-        arrival-driven dispatcher passes ``False`` because its waves already
-        spent the linger budget for real in the queue.
+        under-filled *explicit* batch waiting for late arrivals.
         """
         config = self.config
+        batch = self.batch
         wave_start = self.sim.now  # a lingering wave's wait counts as latency
+        # Grouped by a scan, not a dict: a wave meets few client sites, and
+        # hashing a Site runs Python code.
+        site_groups: List[List[OperationContext]] = []
+        for ctx in wave:
+            ctx.start = wave_start
+            deadline = ctx.deadline
+            if deadline is not None and wave_start >= deadline:
+                # Expired before admission: no PoA hop, no LDAP charge.
+                batch.increment("api.deadline_expired")
+                self._answer(ctx, ResultCode.TIME_LIMIT_EXCEEDED,
+                             "deadline expired")
+                continue
+            site = ctx.client_site
+            for group in site_groups:
+                group_site = group[0].client_site
+                if group_site is site or group_site == site:
+                    group.append(ctx)
+                    break
+            else:
+                site_groups.append([ctx])
+        if not site_groups:
+            return
         if charge_linger and config.batch_linger_ticks and \
                 len(wave) < config.batch_max_size:
             # An under-filled explicit wave lingers for late arrivals.
             yield self.sim.timeout(
                 config.batch_linger_ticks * BATCH_LINGER_TICK)
-        site_groups: Dict[Site, List[_BatchSlot]] = {}
-        for slot in wave:
-            site_groups.setdefault(slot.item.client_site, []).append(slot)
-        admitted = []
-        for client_site, group in site_groups.items():
-            poa = yield from self._admit_site_group(client_site, group,
-                                                    responses, wave_start)
-            if poa is None:
+        defer_unknown = False
+        for group in site_groups:
+            try:
+                # One shared PoA hop for the group.
+                poa = yield from self.admission.reach_poa(
+                    group[0].client_site)
+            except OperationFailure as failure:
+                # No answer can travel back: the group is done.
+                for ctx in group:
+                    self._answer(ctx, failure.code, failure.reason)
                 continue
-            yield from self.plan_stage.run_group(poa, group)
-            admitted.append((client_site, poa, group))
-        # Identities unknown at wave start stay unresolved only when an
-        # earlier request of this wave could register them (a CREATE; a
-        # DELETE can only remove, which placement_changed below handles).
-        defer_unknown = any(
-            slot.ctx.plan.kind is PlanKind.CREATE
-            for _site, _poa, group in admitted
-            for slot in group if slot.runnable)
-        for _site, _poa, group in admitted:
-            # One location probe per distinct identity in the site group.
-            self.locate.run_group(
-                [slot for slot in group if slot.runnable],
-                defer_unknown=defer_unknown)
-        # Fan back out: the transactional tail is per request, in global
-        # admission order, wrapped by the retry policy.  The wave's ledger
-        # lets requests targeting copies at the same site share one bulk
-        # round trip ("group by target partition").
-        yield from self._fan_out(wave, _TransferLedger())
-        # One shared answer transfer back to each client site.  (Failures
-        # with respond=False cannot reach this point: they early-return in
-        # the admission handler.)
-        for client_site, poa, group in admitted:
-            yield from self.respond.run_group(poa.site, client_site,
-                                              len(group))
-            for slot in group:
-                if slot.failure is None:
-                    responses[slot.index] = self._finish(
-                        slot.ctx, ResultCode.SUCCESS, batched=True)
-                else:
-                    responses[slot.index] = self._finish(
-                        slot.ctx, slot.failure.code,
-                        reason=slot.failure.reason, batched=True)
-
-    def _fan_out(self, wave: List[_BatchSlot], ledger: _TransferLedger):
-        """Generator: the per-request transactional tail of one wave.
-
-        Requests run in global admission order through the
-        :class:`RetryStage`, after a deadline check and data location that
-        give the codes and counters it would.  With
-        ``UDRConfig.coalesce_writes`` a write joins its partition's shared
-        transaction instead (:meth:`_coalesced_write`), and a read or search
-        first commits the open groups it could observe, so it sees its
-        wave-mates' earlier writes exactly as the sequential path would.
-        """
-        coalesce = self.config.coalesce_writes
+            batch.increment("batch.admitted", len(group))
+            creates = yield from self.plan_stage.run_group(poa, group)
+            defer_unknown = defer_unknown or creates
+        # From here on, a group answered at admission is done.  Identities
+        # unknown at wave start stay unresolved only when an earlier
+        # request of this wave could register them (a CREATE; a DELETE can
+        # only remove, which the fan-out's placement_changed covers).
+        for group in site_groups:
+            if group[0].response is None:
+                self.locate.run_group(group, defer_unknown)
+        # Fan back out: the transactional tail is per request, in admission
+        # order, through the RetryStage after a deadline check and data
+        # location that give the codes and counters it would.  The wave's
+        # ledger lets requests targeting copies at the same site share one
+        # bulk round trip ("group by target partition").  With
+        # coalesce_writes a write joins its partition's shared transaction
+        # instead (_coalesced_write), and a read or search first commits
+        # the open groups it could observe, so it sees its wave-mates'
+        # earlier writes exactly as one-by-one execution would.
+        ledger: set = set()
+        coalesce = config.coalesce_writes
+        sim = self.sim
         groups: Dict[int, _CoalescedGroup] = {}
         placement_changed = False
-        for slot in wave:
-            if not slot.runnable:
+        for ctx in wave:
+            if not ctx.runnable:
                 continue
-            ctx = slot.ctx
             if placement_changed and ctx.location_resolved:
                 # An earlier CREATE/DELETE of this wave may have moved or
                 # removed data the shared probe resolved: re-locate at this
-                # request's own turn, as the sequential path would.
+                # request's own turn, as one-by-one execution would.
                 ctx.located_element = None
                 ctx.location_resolved = False
-            pending = slot.failure
-            slot.failure = None
-            if pending is None and ctx.expired(self.sim.now):
+            pending = ctx.failure
+            ctx.failure = None
+            if pending is None and ctx.deadline is not None and \
+                    sim.now >= ctx.deadline:
                 # Expired work must not consume the wave's hops.
-                self.batch.increment("api.deadline_expired")
+                batch.increment("api.deadline_expired")
                 pending = OperationFailure(ResultCode.TIME_LIMIT_EXCEEDED,
                                            "deadline expired",
                                            retryable=False)
@@ -1494,7 +1437,7 @@ class OperationPipeline:
                     pending = failure
             joined = False
             if pending is None and coalesce and ctx.plan.is_write:
-                pending = yield from self._coalesced_write(slot, groups,
+                pending = yield from self._coalesced_write(ctx, groups,
                                                            ledger)
                 joined = pending is None
             elif pending is None and groups:
@@ -1511,16 +1454,29 @@ class OperationPipeline:
                     yield from self.retry_stage.run(
                         ctx, pending_failure=pending, ledger=ledger)
                 except OperationFailure as failure:
-                    slot.failure = failure
-            if slot.failure is None and \
+                    ctx.failure = failure
+            if ctx.failure is None and \
                     ctx.plan.kind in (PlanKind.CREATE, PlanKind.DELETE):
                 placement_changed = True
         for group in groups.values():
             yield from self._flush_group(group)
+        # One shared answer transfer back to each admitted client site.
+        for group in site_groups:
+            first = group[0]
+            if first.response is not None:
+                continue
+            yield from self.respond.run_group(first.poa.site,
+                                              first.client_site, len(group))
+            for ctx in group:
+                failure = ctx.failure
+                if failure is None:
+                    self._answer(ctx, ResultCode.SUCCESS)
+                else:
+                    self._answer(ctx, failure.code, failure.reason)
 
-    def _coalesced_write(self, slot: _BatchSlot,
+    def _coalesced_write(self, ctx: OperationContext,
                          groups: Dict[int, _CoalescedGroup],
-                         ledger: _TransferLedger):
+                         ledger: set):
         """Generator: apply one write inside its partition's shared
         transaction; the commit (and its charge) waits for
         :meth:`_flush_group`.
@@ -1530,7 +1486,6 @@ class OperationPipeline:
         conflict aborts are transient; business errors are final either
         way).
         """
-        ctx = slot.ctx
         plan = ctx.plan
         write_path = self.write_path
         write_path.place(ctx)
@@ -1557,7 +1512,7 @@ class OperationPipeline:
             # aborted the shared transaction: every record applied so far is
             # discarded through no fault of its own and is re-driven.  Only
             # the record that hit the conflict/fence answers BUSY/FENCED,
-            # retryable under the policy -- exactly the sequential outcome.
+            # retryable under the policy -- exactly the per-write outcome.
             del groups[partition_index]
             yield from self._redrive(group, fenced=False)
             if isinstance(error, FencedError):
@@ -1568,11 +1523,11 @@ class OperationPipeline:
             group.transaction.rollback_to(savepoint)
             self.batch.increment("batch.coalesced.rollbacks")
             return failure
-        group.slots.append(slot)
+        group.members.append(ctx)
         ctx.epoch = group.copy.transactions.epoch
         self.batch.increment("batch.coalesced.records")
         if plan.kind is PlanKind.CREATE:
-            # Register eagerly (sequential registers after its per-write
+            # Register eagerly (the per-write path registers after its
             # commit): later requests of this wave must locate the newcomer.
             identities = write_path.register_created(ctx)
             group.undos.append(lambda ids=identities: write_path.forget(ids))
@@ -1591,7 +1546,7 @@ class OperationPipeline:
         """Re-register a DELETE's identities when the group's outcome
         voided its eager deregistration: after a conflict abort the record
         still exists and must stay locatable; after a replication
-        shortfall the sequential path would have raised *before* its
+        shortfall the per-write path would have raised *before* its
         deregistration ran, so the registrations must survive there too."""
         self.deployment.register_identities(identities, element_name,
                                             all_locators=True)
@@ -1610,8 +1565,7 @@ class OperationPipeline:
                              else "batch.coalesced.aborts")
         for undo in reversed(group.undos):
             undo()
-        for member in group.slots:
-            ctx = member.ctx
+        for ctx in group.members:
             ctx.located_element = None
             ctx.location_resolved = False
             ctx.entries = []
@@ -1620,15 +1574,15 @@ class OperationPipeline:
             try:
                 yield from self.retry_stage.run(ctx, pending_failure=pending)
             except OperationFailure as failure:
-                member.failure = failure
+                ctx.failure = failure
 
     def _flush_group(self, group: _CoalescedGroup):
         """Generator: commit one coalesced group -- one commit charge (and
         one synchronous-replication drive) for all its records.  A fence at
         commit re-drives every member (:meth:`_redrive`).  A
         synchronous-replication shortfall marks every member with the same
-        non-retryable code each would have earned sequentially, and
-        reverses the eager identity bookkeeping: the sequential path
+        non-retryable code each would have earned on the per-write path,
+        and reverses the eager identity bookkeeping: the per-write path
         raises *before* registering a CREATE (or deregistering a DELETE),
         so lookups must not diverge between the two modes."""
         yield self.sim.timeout(group.element.service_times.commit_charge(
@@ -1647,65 +1601,22 @@ class OperationPipeline:
             except OperationFailure as failure:
                 for undo in reversed(group.undos):
                     undo()
-                for member in group.slots:
-                    if member.failure is None:
-                        member.failure = failure
+                for ctx in group.members:
+                    if ctx.failure is None:
+                        ctx.failure = failure
 
-    def _admit_site_group(self, client_site: Site, group: List[_BatchSlot],
-                          responses: List[Optional[LdapResponse]],
-                          wave_start: float):
-        """Generator: contexts plus the shared PoA hop for one site group.
-
-        Returns the serving PoA, or ``None`` when admission failed -- the
-        group's responses are recorded here in that case.
-        """
-        for slot in group:
-            item = slot.item
-            slot.ctx = OperationContext(
-                item.request, item.client_type, client_site,
-                start=wave_start, priority=item.priority_class(),
-                deadline=item.deadline,
-                retry_policy=item.retry_policy if item.retry_policy
-                is not None else self.config.retry_policy)
-        try:
-            # One shared PoA hop for the group; no reachable PoA fails
-            # every request exactly as the sequential admission would.
-            poa = yield from self.admission.reach_poa(client_site)
-        except OperationFailure as failure:
-            for slot in group:
-                slot.failure = failure
-                responses[slot.index] = self._finish(
-                    slot.ctx, failure.code, reason=failure.reason,
-                    batched=True)
-            return None
-        for slot in group:
-            slot.ctx.poa = poa
-        self.batch.increment("batch.admitted", len(group))
-        return poa
-
-    def _finish(self, ctx: OperationContext, code: ResultCode,
-                reason: str = "", batched: bool = False) -> LdapResponse:
+    def _answer(self, ctx: OperationContext, code: ResultCode,
+                reason: str = "") -> None:
+        """Give ``ctx`` its response and record its metrics."""
         latency = self.sim.now - ctx.start
-        response = LdapResponse(result_code=code, request=ctx.request,
-                                entries=list(ctx.entries),
-                                diagnostic_message=reason,
-                                latency=latency, served_from=ctx.served_from,
-                                attempts=ctx.attempts,
-                                next_cursor=ctx.next_cursor,
-                                has_more=ctx.has_more)
-        client = ctx.client_type.value
-        if code.is_success:
-            self.batch.record_outcome(client, success=True)
-            self.batch.record_latency(client, latency)
-        else:
-            self.batch.record_outcome(client, success=False,
-                                      reason=reason or code.name.lower())
-        if batched:
-            # Batched requests defer to the single flush at batch end.
-            self.batch.record_priority(ctx.priority.value, code.is_success)
-        else:
-            self.batch.request_done()
-        return response
+        ctx.response = LdapResponse(
+            result_code=code, request=ctx.request, entries=list(ctx.entries),
+            diagnostic_message=reason, latency=latency,
+            served_from=ctx.served_from, attempts=ctx.attempts,
+            next_cursor=ctx.next_cursor, has_more=ctx.has_more)
+        self.batch.record_answer(
+            ctx.client_type.value, _PRIORITY_VALUES[ctx.rank], latency,
+            None if code.is_success else reason or code.name.lower())
 
     def flush_metrics(self) -> None:
         """Apply any batched metric records to the registry now."""
@@ -1713,8 +1624,7 @@ class OperationPipeline:
 
     def __repr__(self) -> str:
         return (f"<OperationPipeline {self.config.name!r} "
-                f"caches={len(self.caches)} "
-                f"batch_size={self.config.metrics_batch_size}>")
+                f"caches={len(self.caches)}>")
 
 
 class _PlacementView:

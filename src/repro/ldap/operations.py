@@ -131,8 +131,8 @@ class LdapResponse:
     diagnostic_message: str = ""
     latency: float = 0.0
     served_from: str = ""
-    #: Retries the batch pipeline's RetryStage spent on the request
-    #: (0 = answered on the first attempt; always 0 on the sequential path).
+    #: Retries the pipeline's RetryStage spent on the request (0 =
+    #: answered on the first attempt, or no retry policy applied).
     attempts: int = 0
     #: Keyset cursor resuming a paged search after the last entry of this
     #: page (``{sort_key}|{entry_id}``); None once the result set is drained.

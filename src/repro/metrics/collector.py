@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.availability import OperationOutcomes
 from repro.metrics.consistency import ConsistencyTracker
@@ -141,18 +141,12 @@ class MetricsBatch:
     The operation pipeline records per-request metrics (outcomes, latency
     samples, consistency observations, counters) into a batch instead of
     straight into the registry; the batch coalesces counter increments and
-    flushes everything after ``flush_threshold`` completed requests.  The
-    default threshold of 1 flushes at the end of every request, so callers
-    that inspect the registry between requests see exactly the same state as
-    with unbatched recording; high-throughput experiments raise the
-    threshold (``UDRConfig.metrics_batch_size``) and flush once per batch.
+    each admission wave flushes it once, at the wave's end, so a caller
+    that inspects the registry between waves sees every finished request.
     """
 
-    def __init__(self, registry: MetricsRegistry, flush_threshold: int = 1):
-        if flush_threshold < 1:
-            raise ValueError("flush threshold must be at least 1")
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.flush_threshold = flush_threshold
         #: Times :meth:`flush` ran; batch-path tests assert one whole
         #: ``execute_batch`` flushes exactly once.
         self.flushes = 0
@@ -160,29 +154,36 @@ class MetricsBatch:
         self._outcomes: list = []
         self._latencies: list = []
         self._reads: list = []
-        self._requests_pending = 0
+        #: Counter names per priority class, built once.
+        self._priority_names: Dict[str, Tuple[str, str]] = {}
 
     # -- recording ------------------------------------------------------------
 
     def increment(self, name: str, amount: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    def record_outcome(self, client: str, success: bool,
-                       reason: str = "") -> None:
-        self._outcomes.append((client, success, reason))
-
-    def record_latency(self, client: str, value: float) -> None:
-        self._latencies.append((client, value))
+    def record_answer(self, client: str, priority: str, latency: float,
+                      failure: Optional[str] = None) -> None:
+        """One answered request: its outcome, its latency when it
+        succeeded (``failure is None``), and its priority class's
+        ``batch.priority.<class>.completed`` (and ``.failed``) count."""
+        names = self._priority_names.get(priority)
+        if names is None:
+            names = self._priority_names[priority] = (
+                f"batch.priority.{priority}.completed",
+                f"batch.priority.{priority}.failed")
+        counters = self._counters
+        counters[names[0]] = counters.get(names[0], 0) + 1
+        if failure is None:
+            self._outcomes.append((client, True, ""))
+            self._latencies.append((client, latency))
+        else:
+            self._outcomes.append((client, False, failure))
+            counters[names[1]] = counters.get(names[1], 0) + 1
 
     def record_read(self, client: str, served_from_slave: bool, stale: bool,
                     versions_behind: int) -> None:
         self._reads.append((client, served_from_slave, stale, versions_behind))
-
-    def record_priority(self, priority: str, success: bool) -> None:
-        """Per-priority-class accounting of batched admission outcomes."""
-        self.increment(f"batch.priority.{priority}.completed")
-        if not success:
-            self.increment(f"batch.priority.{priority}.failed")
 
     # -- flushing -------------------------------------------------------------
 
@@ -191,12 +192,6 @@ class MetricsBatch:
         """Buffered record count (all kinds), for introspection and tests."""
         return (len(self._counters) + len(self._outcomes)
                 + len(self._latencies) + len(self._reads))
-
-    def request_done(self) -> None:
-        """One request finished; flush if the batch is full."""
-        self._requests_pending += 1
-        if self._requests_pending >= self.flush_threshold:
-            self.flush()
 
     def flush(self) -> None:
         self.flushes += 1
@@ -219,11 +214,9 @@ class MetricsBatch:
         self._outcomes.clear()
         self._latencies.clear()
         self._reads.clear()
-        self._requests_pending = 0
 
     def __repr__(self) -> str:
-        return (f"<MetricsBatch pending={self.pending} "
-                f"threshold={self.flush_threshold}>")
+        return f"<MetricsBatch pending={self.pending}>"
 
 
 _default_registry: Optional[MetricsRegistry] = None

@@ -28,6 +28,11 @@ class LinkClass(enum.Enum):
     REGIONAL = "regional"    # between sites of the same region/country
     BACKBONE = "backbone"    # between regions, over the IP backbone
 
+    #: Members are singletons compared by identity, so the identity hash
+    #: agrees with equality; unlike ``Enum.__hash__`` it runs no Python
+    #: code on the per-message link-keyed lookups.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class LinkProfile:
@@ -133,7 +138,7 @@ class Network:
 
     def classify(self, source: Site, destination: Site) -> LinkClass:
         """Return the link class used between two sites."""
-        if source == destination:
+        if source is destination or source == destination:
             return LinkClass.LOCAL
         if self.topology.same_region(source, destination):
             return LinkClass.REGIONAL

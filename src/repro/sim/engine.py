@@ -27,7 +27,9 @@ class Simulation:
     """
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
+        #: Current virtual time in seconds.  Read it freely; only the
+        #: engine advances it.
+        self.now = 0.0
         self._queue: list = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
@@ -39,11 +41,6 @@ class Simulation:
         self.seed = seed
 
     # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
@@ -89,7 +86,7 @@ class Simulation:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue ``delay`` from now."""
         self._sequence += 1
-        heappush(self._queue, (self._now + delay, self._sequence, event))
+        heappush(self._queue, (self.now + delay, self._sequence, event))
 
     # -- execution -----------------------------------------------------------
 
@@ -144,7 +141,7 @@ class Simulation:
         if self._cancelled_scheduled or queue and queue[0][2].cancelled:
             self._prune_cancelled()
         when, _seq, event = heappop(queue)
-        self._now = when
+        self.now = when
         event._process()
 
     def run(self, until: Optional[float] = None) -> float:
@@ -155,9 +152,9 @@ class Simulation:
         that instant, which makes back-to-back ``run(until=...)`` calls
         compose predictably.
         """
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"cannot run to {until}: simulation time is already {self._now}")
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run to {until}: simulation time is "
+                             f"already {self.now}")
         queue = self._queue
         while queue:
             if self._cancelled_scheduled or queue[0][2].cancelled:
@@ -168,12 +165,12 @@ class Simulation:
                 break
             self.step()
         if until is not None:
-            self._now = max(self._now, until)
-        return self._now
+            self.now = max(self.now, until)
+        return self.now
 
     def run_for(self, duration: float) -> float:
         """Run for ``duration`` more virtual seconds (convenience wrapper)."""
-        return self.run(until=self._now + duration)
+        return self.run(until=self.now + duration)
 
     def run_until_triggered(self, event: Event,
                             limit: Optional[float] = None) -> float:
@@ -186,9 +183,9 @@ class Simulation:
         avoid simulating the idle time after each operation.
         """
         deadline = float("inf") if limit is None else limit
-        if deadline < self._now:
-            raise ValueError(
-                f"cannot run to {limit}: simulation time is already {self._now}")
+        if deadline < self.now:
+            raise ValueError(f"cannot run to {limit}: simulation time is "
+                             f"already {self.now}")
         queue = self._queue
         while not event.triggered and queue:
             if self._cancelled_scheduled or queue[0][2].cancelled:
@@ -198,8 +195,8 @@ class Simulation:
             if queue[0][0] > deadline:
                 break
             self.step()
-        return self._now
+        return self.now
 
     def __repr__(self) -> str:
-        return (f"<Simulation now={self._now:.6f}s "
+        return (f"<Simulation now={self.now:.6f}s "
                 f"pending={len(self._queue)} seed={self.seed}>")

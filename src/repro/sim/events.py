@@ -195,10 +195,17 @@ class Timeout(Event):
                  name: Optional[str] = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        Event.__init__(self, sim, name)
-        self.delay = delay
+        # Event.__init__, inlined: timeouts are the kernel's most frequent
+        # events.  Keep in step with Event's slots.
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._value = value
+        self._exception = None
         self._status = _TRIGGERED
+        self.defused = False
+        self.cancelled = False
+        self.delay = delay
         sim._schedule(self, delay)
 
     def _label(self) -> str:

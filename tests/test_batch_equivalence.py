@@ -561,9 +561,8 @@ class TestBatchMetricsContract:
             seq_udr.metrics.counter("response_lost")
 
     def test_batch_flushes_exactly_once_at_batch_end(self):
-        """The fix: a batch no longer flushes per request.  Even with the
-        default ``metrics_batch_size=1`` (flush-per-request on the
-        sequential path), one ``execute_batch`` flushes exactly once."""
+        """The fix: a batch no longer flushes per request.  One-slot waves
+        flush once each, and one ``execute_batch`` flushes exactly once."""
         udr, profiles = build_udr(config=UDRConfig(seed=7),
                                   subscribers=SUBSCRIBERS)
         items = seeded_workload(udr, profiles, seed=97, operations=12)

@@ -134,8 +134,6 @@ class TestConfigValidation:
     def test_new_knobs_validated(self):
         with pytest.raises(ValueError):
             UDRConfig(location_cache_capacity=-1)
-        with pytest.raises(ValueError):
-            UDRConfig(metrics_batch_size=0)
 
 
 class TestCommitLogTaps:

@@ -761,6 +761,37 @@ class TestAdmissionQueueProperty:
         assert live <= 3, "bulk tickets expire two ticks after arrival"
         assert len(bulk_heap) <= 2 * live + 64 + 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(st.tuples(
+               st.sampled_from([ClientType.APPLICATION_FE,
+                                ClientType.PROVISIONING]),
+               st.sampled_from([None, *Priority]),
+               st.sampled_from([None, 0.1, 0.2, 0.5, 0.9])), max_size=40),
+           weights=st.fixed_dictionaries(
+               {priority.value: st.integers(1, 4) for priority in Priority}),
+           defer=st.sampled_from([None, *Priority]),
+           limit=st.integers(0, 45))
+    def test_reordering_a_popped_wave_changes_nothing(
+            self, small_udr, specs, weights, defer, limit):
+        """``pop_wave`` already returns a wave in admission order, so the
+        dispatcher drives it as popped: ordering it again is the identity,
+        for any weights, classes, deadlines, deferred class and size."""
+        udr, profiles = small_udr
+        config = udr.config.replace(priority_weights=weights)
+        request = read_for(udr, profiles[0])
+        site = udr.topology.sites[0]
+        queue = AdmissionQueue(config)
+        for client_type, priority, deadline in specs:
+            queue.push(DispatchTicket(
+                BatchItem(request, client_type, site, priority=priority,
+                          deadline=deadline), 0.0, None))
+        wave = queue.pop_wave(limit, defer)
+        assert reference_order(config, wave) == wave
+        again = AdmissionQueue(config)
+        for ticket in wave:
+            again.push(ticket)
+        assert again.pop_wave(len(wave)) == wave
+
     @settings(max_examples=150, deadline=None)
     @given(actions=queue_actions, wave_size=st.integers(1, 6),
            weights=st.fixed_dictionaries(

@@ -279,8 +279,13 @@ class TestBatchProvisioning:
             [operation.name for operation in operations]
         assert all(outcome.succeeded for outcome in outcomes)
         assert ps.operations_attempted == len(operations)
-        assert udr.metrics.counter("batch.admitted") == len(operations) - 1, \
-            "every single-request operation went through batched admission"
+        swap_requests = len(operations[-1].operations())
+        assert udr.metrics.counter("batch.admitted") == \
+            len(operations) - 1 + swap_requests, \
+            "every request is admitted by a wave: the single-request " \
+            "operations in batches, the swap's requests one slot each"
+        assert udr.metrics.counter("batch.batches") == 1, \
+            "the ten single-request operations rode one explicit batch"
         assert udr.metrics.counters_with_prefix("batch.priority.bulk")
 
     def test_pipelined_preserves_execution_order_across_fallbacks(

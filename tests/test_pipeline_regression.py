@@ -1,11 +1,13 @@
-"""Regression guard: the staged pipeline answers a canned request matrix
-with exactly the result codes the monolithic ``execute()`` produced, the
-location-cache fast path never changes a result code, and the batch path
-(mixed-priority batches, retry exhaustion, fail-over mid-batch) answers its
-own canned matrix."""
+"""Regression guard: ``execute()`` answers a canned request matrix with
+exactly the result codes, latencies, serving copies, attempt counts and
+diagnostics the sequential walk produced before single requests became
+one-slot waves; the location-cache fast path never changes an answer; and
+the batch path (mixed-priority batches, retry exhaustion, fail-over
+mid-batch) answers its own canned matrix."""
 
 import pytest
 
+from repro.cluster.balancer import closest_point_of_access
 from repro.core import BatchItem, ClientType, Priority, RetryPolicy, UDRConfig
 from repro.ldap import (
     AddRequest,
@@ -22,7 +24,8 @@ from tests.conftest import build_udr, fe_site_for, run_to_completion
 
 
 def run_request_matrix(udr, profiles):
-    """Drive a fixed request sequence; return the result-code names."""
+    """Drive a fixed request sequence; return one row per request:
+    ``(label, code name, latency, served_from, attempts, diagnostic)``."""
     known = profiles[0]
     other = profiles[1]
     generator = SubscriberGenerator(udr.config.regions, seed=987)
@@ -59,50 +62,122 @@ def run_request_matrix(udr, profiles):
         ("base scope search", fe, home, SearchRequest(
             dn=SubscriberSchema.BASE_DN, filter_text="(objectClass=*)")),
     ]
-    codes = []
+    rows = []
+
+    def record(label, response):
+        rows.append((label, response.result_code.name, response.latency,
+                     response.served_from, response.attempts,
+                     response.diagnostic_message))
+
     for label, client, site, request in matrix:
-        response = run_to_completion(
-            udr, udr.pipeline.execute(request, client, site))
-        codes.append((label, response.result_code.name))
+        record(label, run_to_completion(
+            udr, udr.pipeline.execute(request, client, site)))
 
     # Partition the known subscriber's home region away and write from the
     # wrong side (the paper's prefer-consistency failure), then heal.
     region = udr.topology.region(known.home_region)
     partition = NetworkPartition.splitting_regions(udr.topology, region)
     udr.network.apply_partition(partition)
-    response = run_to_completion(udr, udr.pipeline.execute(
-        ModifyRequest(dn=dn(known), changes={"svcBarPremium": True}),
-        ClientType.PROVISIONING, remote))
-    codes.append(("write from cut-off side", response.result_code.name))
+    bar_premium = ModifyRequest(dn=dn(known), changes={"svcBarPremium": True})
+    record("write from cut-off side", run_to_completion(
+        udr, udr.pipeline.execute(bar_premium, ps, remote)))
     udr.network.heal_partition(partition)
-    response = run_to_completion(udr, udr.pipeline.execute(
-        ModifyRequest(dn=dn(known), changes={"svcBarPremium": True}),
-        ClientType.PROVISIONING, remote))
-    codes.append(("write after heal", response.result_code.name))
-    return codes
+    record("write after heal", run_to_completion(
+        udr, udr.pipeline.execute(bar_premium, ps, remote)))
+
+    read_known = SearchRequest(dn=dn(known))
+    record("deadline past at admission", run_to_completion(
+        udr, udr.pipeline.execute(read_known, fe, home,
+                                  deadline=udr.sim.now)))
+
+    for poa in udr.points_of_access:
+        poa.fail()
+    record("no reachable PoA", run_to_completion(
+        udr, udr.pipeline.execute(read_known, fe, home)))
+    for poa in udr.points_of_access:
+        poa.restore()
+
+    serving = closest_point_of_access(udr.network, home,
+                                      udr.points_of_access)
+
+    def fail_serving_poa():
+        # Down during the client-to-PoA hop, after admission chose it.
+        yield udr.sim.timeout(1e-9)
+        serving.fail()
+
+    udr.sim.process(fail_serving_poa())
+    record("PoA failed in flight", run_to_completion(
+        udr, udr.pipeline.execute(read_known, fe, home)))
+    serving.restore()
+
+    record("malformed filter", run_to_completion(udr, udr.pipeline.execute(
+        SearchRequest(dn=SubscriberSchema.BASE_DN, filter_text="(msisdn="),
+        fe, home)))
+
+    def sync_serving_locator():
+        # Syncing from just after admission chose the PoA until before the
+        # first retry's backoff ends.
+        yield udr.sim.timeout(1e-9)
+        serving.locator.begin_sync(total_entries=100)
+        yield udr.sim.timeout(0.001)
+        serving.locator.complete_sync()
+
+    udr.sim.process(sync_serving_locator())
+    record("session retry policy retries BUSY", run_to_completion(
+        udr, udr.pipeline.execute(
+            read_known, fe, home,
+            retry_policy=RetryPolicy(max_retries=2, backoff_tick=0.005))))
+    return rows
 
 
+#: ``(label, code, latency, served_from, attempts, diagnostic)`` per row,
+#: recorded from the sequential walk that preceded one-slot waves.
 EXPECTED = [
-    ("read known imsi", "SUCCESS"),
-    ("repeat read (cache hit path)", "SUCCESS"),
-    ("read by msisdn filter", "SUCCESS"),
-    ("read unknown imsi", "NO_SUCH_OBJECT"),
-    ("create newcomer", "SUCCESS"),
-    ("read newcomer", "SUCCESS"),
-    ("duplicate create", "ENTRY_ALREADY_EXISTS"),
-    ("modify known", "SUCCESS"),
-    ("modify unknown", "NO_SUCH_OBJECT"),
-    ("delete other", "SUCCESS"),
-    ("read deleted", "NO_SUCH_OBJECT"),
-    ("base scope search", "SUCCESS"),
-    ("write from cut-off side", "UNAVAILABLE"),
-    ("write after heal", "SUCCESS"),
+    ('read known imsi', 'SUCCESS', 0.0005032384502313622,
+     'se-germany-dc1-0', 0, ''),
+    ('repeat read (cache hit path)', 'SUCCESS', 0.0003986532306510289,
+     'se-germany-dc1-0', 0, ''),
+    ('read by msisdn filter', 'SUCCESS', 0.00039155182946786534,
+     'se-germany-dc1-0', 0, ''),
+    ('read unknown imsi', 'NO_SUCH_OBJECT', 0.0003993464237481833,
+     '', 0, 'unknown identity'),
+    ('create newcomer', 'SUCCESS', 0.10129645012624416,
+     'se-spain-dc1-0', 0, ''),
+    ('read newcomer', 'SUCCESS', 0.10256895520111112,
+     'se-spain-dc1-0', 0, ''),
+    ('duplicate create', 'ENTRY_ALREADY_EXISTS', 0.0007732668615864635,
+     '', 0, 'entry already exists'),
+    ('modify known', 'SUCCESS', 0.0005784570725768934,
+     'se-germany-dc1-0', 0, ''),
+    ('modify unknown', 'NO_SUCH_OBJECT', 0.00037422627678990183,
+     '', 0, 'unknown identity'),
+    ('delete other', 'SUCCESS', 0.058019922257567524,
+     'se-spain-dc1-1', 0, ''),
+    ('read deleted', 'NO_SUCH_OBJECT', 0.0005079930223684803,
+     '', 0, 'unknown identity'),
+    ('base scope search', 'SUCCESS', 0.00045229829911297426,
+     'dit-index', 0, ''),
+    ('write from cut-off side', 'UNAVAILABLE', 0.0003700434096544636,
+     '', 0, 'master unreachable (partitioned away)'),
+    ('write after heal', 'SUCCESS', 0.06673472534878117,
+     'se-germany-dc1-0', 0, ''),
+    ('deadline past at admission', 'TIME_LIMIT_EXCEEDED', 0.0,
+     '', 0, 'deadline expired'),
+    ('no reachable PoA', 'UNAVAILABLE', 0.0,
+     '', 0, 'no reachable PoA'),
+    ('PoA failed in flight', 'UNAVAILABLE', 0.00029455436953906844,
+     '', 0, 'PoA poa-germany-dc1 failed in flight'),
+    ('malformed filter', 'UNWILLING_TO_PERFORM', 0.0004746940568773894,
+     '', 0, 'malformed filter: unterminated simple filter'),
+    ('session retry policy retries BUSY', 'SUCCESS', 0.00544548646966847,
+     'se-germany-dc1-0', 1, ''),
 ]
 
 
 class TestResultCodeRegression:
     def test_result_codes_unchanged_across_refactor(self):
-        """The canned matrix pins the monolith's observable behaviour."""
+        """The canned matrix pins the sequential walk's observable answers:
+        codes, latencies, serving copies, attempts and diagnostics."""
         udr, profiles = build_udr(config=UDRConfig(seed=7))
         assert run_request_matrix(udr, profiles) == EXPECTED
 
@@ -113,11 +188,6 @@ class TestResultCodeRegression:
             location_cache_enabled=False, seed=7))
         assert run_request_matrix(cached_udr, cached_profiles) == \
             run_request_matrix(plain_udr, plain_profiles)
-
-    def test_result_codes_identical_with_batched_metrics(self):
-        batched_udr, batched_profiles = build_udr(config=UDRConfig(
-            metrics_batch_size=64, seed=7))
-        assert run_request_matrix(batched_udr, batched_profiles) == EXPECTED
 
 
 # -- the batch path's own canned matrix ----------------------------------------------

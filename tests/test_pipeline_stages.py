@@ -3,10 +3,12 @@ location-cache fast path and its invalidation, and batched metrics."""
 
 import pytest
 
-from repro.core import ClientType, UDRConfig
+from repro.cluster.balancer import closest_point_of_access
+from repro.core import BatchItem, ClientType, RetryPolicy, UDRConfig
 from repro.core.pipeline import OperationContext, OperationFailure
 from repro.directory.errors import LocatorSyncInProgress
-from repro.ldap import ResultCode, SearchRequest, SubscriberSchema
+from repro.ldap import (ModifyRequest, ResultCode, SearchRequest,
+                        SubscriberSchema)
 from repro.ldap.server import OperationPlan, PlanKind
 from repro.net import NetworkPartition
 
@@ -173,9 +175,11 @@ class TestStagesInIsolation:
         partition = NetworkPartition.splitting_regions(udr.topology,
                                                        poa.site.region)
         udr.network.apply_partition(partition)
-        run_to_completion(udr, udr.pipeline.respond.run(ctx))
+        run_to_completion(udr, udr.pipeline.respond.run_group(
+            ctx.poa.site, ctx.client_site, 1))
         udr.flush_metrics()
         assert udr.metrics.counter("response_lost") == 1
+
 
 class TestBatchedMetrics:
     def test_default_batch_flushes_per_request(self, fresh_udr):
@@ -187,34 +191,97 @@ class TestBatchedMetrics:
         outcomes = udr.metrics.outcomes(ClientType.APPLICATION_FE.value)
         assert outcomes.attempted == 1
 
-    def test_larger_batches_defer_and_then_flush(self):
-        config = UDRConfig(metrics_batch_size=10, seed=7)
-        udr, profiles = build_udr(config=config)
-        client = ClientType.APPLICATION_FE
-        for profile in profiles[:3]:
-            run_to_completion(udr, udr.pipeline.execute(
-                search_for(profile), client, fe_site_for(udr, profile)))
-        assert udr.metrics.outcomes(client.value).attempted == 0, \
-            "records are buffered until the batch threshold"
-        assert udr.pipeline.batch.pending > 0
-        udr.flush_metrics()
-        assert udr.metrics.outcomes(client.value).attempted == 3
-        assert udr.metrics.latency(client.value).count == 3
-
-    def test_batch_auto_flushes_at_threshold(self):
-        config = UDRConfig(metrics_batch_size=2, seed=7)
-        udr, profiles = build_udr(config=config)
-        client = ClientType.APPLICATION_FE
-        for profile in profiles[:2]:
-            run_to_completion(udr, udr.pipeline.execute(
-                search_for(profile), client, fe_site_for(udr, profile)))
-        assert udr.metrics.outcomes(client.value).attempted == 2
-
-    def test_stop_flushes_pending_metrics(self):
-        config = UDRConfig(metrics_batch_size=100, seed=7)
-        udr, profiles = build_udr(config=config)
-        client = ClientType.APPLICATION_FE
-        run_to_completion(udr, udr.pipeline.execute(
-            search_for(profiles[0]), client, fe_site_for(udr, profiles[0])))
+    def test_stop_flushes_pending_metrics(self, fresh_udr):
+        udr, _profiles = fresh_udr
+        udr.pipeline.batch.increment("response_lost")
+        assert udr.metrics.counter("response_lost") == 0, \
+            "recorded between waves, not flushed yet"
         udr.stop()
-        assert udr.metrics.outcomes(client.value).attempted == 1
+        assert udr.metrics.counter("response_lost") == 1
+
+
+class TestOneWalk:
+    """A single request is a one-slot wave.  Each point where the
+    sequential walk and the wave used to differ is decided once, for every
+    path."""
+
+    def test_expired_before_admission_costs_no_hop_on_every_path(
+            self, fresh_udr):
+        udr, profiles = fresh_udr
+        profile = profiles[0]
+        site = fe_site_for(udr, profile)
+        fe = ClientType.APPLICATION_FE
+        messages = udr.network.stats.total_messages()
+        single = run_to_completion(udr, udr.pipeline.execute(
+            search_for(profile), fe, site, deadline=udr.sim.now))
+        assert udr.network.stats.total_messages() == messages, \
+            "no PoA hop, no answer transfer"
+        batch = run_to_completion(udr, udr.pipeline.execute_batch([
+            BatchItem(search_for(profile), fe, site, deadline=udr.sim.now),
+            BatchItem(search_for(profile), fe, site)]))
+        for response in (single, batch[0]):
+            assert response.result_code is ResultCode.TIME_LIMIT_EXCEEDED
+            assert response.latency == 0.0
+            assert response.diagnostic_message == "deadline expired"
+        assert batch[1].result_code is ResultCode.SUCCESS
+        assert udr.metrics.counter("api.deadline_expired") == 2
+        assert udr.metrics.counter("batch.admitted") == 1, \
+            "only the live request of the batch was admitted"
+
+    def test_config_retry_policy_applies_to_single_requests(self):
+        udr, profiles = build_udr(config=UDRConfig(
+            seed=7, retry_policy=RetryPolicy(max_retries=2,
+                                             backoff_tick=0.005)))
+        profile = profiles[0]
+        site = fe_site_for(udr, profile)
+        serving = closest_point_of_access(udr.network, site,
+                                          udr.points_of_access)
+
+        def sync_serving_locator():
+            # Syncing from just after admission chose the PoA until before
+            # the first retry's backoff ends.
+            yield udr.sim.timeout(1e-9)
+            serving.locator.begin_sync(total_entries=100)
+            yield udr.sim.timeout(0.001)
+            serving.locator.complete_sync()
+
+        udr.sim.process(sync_serving_locator())
+        response = run_to_completion(udr, udr.pipeline.execute(
+            search_for(profile), ClientType.APPLICATION_FE, site))
+        assert response.result_code is ResultCode.SUCCESS
+        assert response.attempts == 1, "the BUSY first attempt was retried"
+        assert udr.metrics.counter("batch.retries") == 1
+        assert udr.metrics.counter("batch.retry_succeeded") == 1
+
+    def test_every_wave_records_admission_and_priority_once(self, fresh_udr):
+        udr, profiles = fresh_udr
+        profile = profiles[0]
+        site = fe_site_for(udr, profile)
+        flushes = udr.pipeline.batch.flushes
+        run_to_completion(udr, udr.pipeline.execute(
+            search_for(profile), ClientType.APPLICATION_FE, site))
+        run_to_completion(udr, udr.pipeline.execute(
+            SearchRequest(dn=SubscriberSchema.subscriber_dn(
+                "999999999999999")), ClientType.APPLICATION_FE, site))
+        assert udr.pipeline.batch.flushes == flushes + 2
+        assert udr.pipeline.batch.pending == 0
+        assert udr.metrics.counter("batch.admitted") == 2
+        assert udr.metrics.counter(
+            "batch.priority.signalling.completed") == 2
+        assert udr.metrics.counter("batch.priority.signalling.failed") == 1
+
+    def test_lone_write_commits_as_a_group_of_one(self):
+        udr, profiles = build_udr(config=UDRConfig(seed=7,
+                                                   coalesce_writes=True))
+        profile = profiles[0]
+        site = fe_site_for(udr, profile)
+        dn = SubscriberSchema.subscriber_dn(profile.identities.imsi)
+        response = run_to_completion(udr, udr.pipeline.execute(
+            ModifyRequest(dn=dn, changes={"servingMsc": "msc-9"}),
+            ClientType.APPLICATION_FE, site))
+        assert response.result_code is ResultCode.SUCCESS
+        assert udr.metrics.counter("batch.coalesced.groups") == 1
+        assert udr.metrics.counter("batch.coalesced.records") == 1
+        read = run_to_completion(udr, udr.pipeline.execute(
+            SearchRequest(dn=dn), ClientType.PROVISIONING, site))
+        assert read.entry["servingMsc"] == "msc-9"

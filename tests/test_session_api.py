@@ -349,7 +349,7 @@ class TestDeadlineMatrix:
                      for p in profiles[:4]]))
         assert all(r.result_code is ResultCode.TIME_LIMIT_EXCEEDED
                    for r in responses)
-        # The batch still answered (admission happened), but no write ran.
+        # The batch still answered (before admission), but no write ran.
         state = {key for rs in udr.replica_sets.values()
                  for key in rs.master_copy.store.keys()}
         assert state, "subscriber base still present"
