@@ -6,7 +6,9 @@ the subscriber store.  The :class:`HistoryStore` consumes
 :class:`~repro.cdc.stream.ChangeEvent`\\ s and keeps, per record key, the
 list of :class:`HistoryEntry` -- **who** (the originating copy), **when**
 (the commit's virtual timestamp), and **what** (the attribute-level diff
-against the previous version) for every mutation.
+against the previous version) for every mutation.  A version merged from a
+one-attribute change map onto exactly the value the trail last saw for its
+key diffs only that attribute; every other version is diffed in full.
 
 History is retained independently of ``wal_retention``: the mux may
 truncate a master log down to its retention bound while the history keeps
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cdc.stream import ChangeEvent
-from repro.storage.records import TOMBSTONE
+from repro.storage.records import TOMBSTONE, reduce_slotted
 
 #: Record attributes that name a subscriber identity.  Mirrors
 #: ``repro.api.operations.IDENTITY_TYPES`` (asserted equal by the CDC test
@@ -29,13 +31,18 @@ from repro.storage.records import TOMBSTONE
 IDENTITY_ATTRIBUTES: Tuple[str, ...] = ("imsi", "msisdn", "impu", "impi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HistoryEntry:
     """One audited mutation of one record.
 
     ``changes`` is the attribute-level diff against the previous version
     (``None``-valued attributes were removed); for deletes it is ``None``.
+    Slotted like :class:`~repro.storage.records.RecordVersion` (see there
+    for why not ``slots=True``): the trail keeps one entry per mutation.
     """
+
+    __slots__ = ("key", "commit_seq", "transaction_id", "origin",
+                 "timestamp", "kind", "changes")
 
     key: str
     commit_seq: int
@@ -45,9 +52,36 @@ class HistoryEntry:
     kind: str  # "create" | "modify" | "delete"
     changes: Optional[Dict[str, Any]]
 
+    def __init__(self, key: str, commit_seq: int, transaction_id: int,
+                 origin: str, timestamp: float, kind: str,
+                 changes: Optional[Dict[str, Any]]):
+        set_field = object.__setattr__
+        set_field(self, "key", key)
+        set_field(self, "commit_seq", commit_seq)
+        set_field(self, "transaction_id", transaction_id)
+        set_field(self, "origin", origin)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "kind", kind)
+        set_field(self, "changes", changes)
+
+    def __reduce__(self):
+        return reduce_slotted(self)
+
     def __repr__(self) -> str:
         return (f"<HistoryEntry {self.key!r} seq={self.commit_seq} "
                 f"{self.kind} by={self.origin!r} at={self.timestamp}>")
+
+
+def _diff_changed(before: Mapping, after: Mapping,
+                  attribute: str) -> Dict[str, Any]:
+    """:func:`_diff` of two maps that differ at most in ``attribute``."""
+    if attribute in after:
+        value = after[attribute]
+        if attribute not in before or before[attribute] != value:
+            return {attribute: value}
+    elif attribute in before:
+        return {attribute: None}
+    return {}
 
 
 def _diff(before: Optional[Mapping], after: Any) -> Optional[Dict[str, Any]]:
@@ -92,38 +126,39 @@ class HistoryStore:
 
     def apply_event(self, event: ChangeEvent) -> None:
         """Fold one change event into the audit trail (stream consumer)."""
-        for operation in event.operations:
-            before = self._latest.get(operation.key)
-            value = operation.value
+        for version in event.operations:
+            key = version.key
+            before = self._latest.get(key)
+            value = version.value
             if value is TOMBSTONE:
                 kind = "delete"
             elif before is None or before is TOMBSTONE:
                 kind = "create"
             else:
                 kind = "modify"
-            entry = HistoryEntry(
-                key=operation.key,
-                commit_seq=event.commit_seq,
-                transaction_id=event.transaction_id,
-                origin=event.origin,
-                timestamp=event.timestamp,
-                kind=kind,
-                changes=_diff(before, value),
-            )
-            entries = self._entries.setdefault(operation.key, [])
+            changed = version.changed
+            if changed is not None and len(changed) == 1 and \
+                    before is version.base:
+                changes = _diff_changed(before, value, changed[0])
+            else:
+                changes = _diff(before, value)
+            entry = HistoryEntry(key, event.commit_seq, event.transaction_id,
+                                 event.origin, event.timestamp, kind,
+                                 changes)
+            entries = self._entries.setdefault(key, [])
             entries.append(entry)
             if self.max_entries_per_record is not None and \
                     len(entries) > self.max_entries_per_record:
                 del entries[:len(entries) - self.max_entries_per_record]
                 self.entries_evicted += 1
                 self._count("cdc.history.evicted")
-            self._latest[operation.key] = value
+            self._latest[key] = value
             if isinstance(value, Mapping):
                 for attribute in IDENTITY_ATTRIBUTES:
                     identity = value.get(attribute)
                     if identity is not None:
                         self._identity_index[(attribute, str(identity))] = \
-                            operation.key
+                            key
             self.entries_recorded += 1
             self._count("cdc.history.entries")
 

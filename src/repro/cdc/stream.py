@@ -25,13 +25,23 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.storage.records import RecordVersion
-from repro.storage.wal import LogRecord, WalTap, WriteOperation
+from repro.storage.records import RecordVersion, reduce_slotted
+from repro.storage.wal import LogRecord, WalTap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChangeEvent:
-    """One logical commit of one data partition, as seen by the CDC plane."""
+    """One logical commit of one data partition, as seen by the CDC plane.
+
+    ``operations`` are the commit's own :class:`~repro.storage.records.
+    RecordVersion` objects (the ones the log record carries and every copy
+    installs), so a version's ``changed``/``base`` reach the consumers.
+    Slotted like ``RecordVersion`` (see there for why not ``slots=True``):
+    the stream retains one event per commit.
+    """
+
+    __slots__ = ("partition_index", "commit_seq", "lsn", "transaction_id",
+                 "origin", "timestamp", "operations", "epoch")
 
     partition_index: int
     commit_seq: int
@@ -39,10 +49,26 @@ class ChangeEvent:
     transaction_id: int
     origin: str
     timestamp: float
-    operations: Tuple[WriteOperation, ...]
+    operations: Tuple[RecordVersion, ...]
     #: Promotion epoch that durably committed the record (0 before the
     #: membership plane's first promotion).
-    epoch: int = 0
+    epoch: int
+
+    def __init__(self, partition_index: int, commit_seq: int, lsn: int,
+                 transaction_id: int, origin: str, timestamp: float,
+                 operations: Tuple[RecordVersion, ...], epoch: int = 0):
+        set_field = object.__setattr__
+        set_field(self, "partition_index", partition_index)
+        set_field(self, "commit_seq", commit_seq)
+        set_field(self, "lsn", lsn)
+        set_field(self, "transaction_id", transaction_id)
+        set_field(self, "origin", origin)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "operations", operations)
+        set_field(self, "epoch", epoch)
+
+    def __reduce__(self):
+        return reduce_slotted(self)
 
     @property
     def keys(self) -> Tuple[str, ...]:
@@ -61,24 +87,17 @@ class ChangeEvent:
 def replay_events(events, store) -> int:
     """Apply change events to a :class:`~repro.storage.engine.RecordStore`.
 
-    Installs each event's operations as :class:`RecordVersion`\\ s exactly
-    the way a replication apply would, so replaying a partition's full
-    stream (or its suffix past any checkpoint) into an empty (or
-    checkpointed) store reproduces the live store's state --
-    the property ``tests/test_cdc.py`` pins.  Returns the number of
-    versions applied.
+    Installs each event's operations -- the commit's own
+    :class:`RecordVersion`\\ s -- exactly the way a replication apply
+    would, so replaying a partition's full stream (or its suffix past any
+    checkpoint) into an empty (or checkpointed) store reproduces the live
+    store's state -- the property ``tests/test_cdc.py`` pins.  Returns the
+    number of versions applied.
     """
     applied = 0
     for event in events:
-        for operation in event.operations:
-            store.apply_version(RecordVersion(
-                key=operation.key,
-                value=operation.value,
-                commit_seq=event.commit_seq,
-                transaction_id=event.transaction_id,
-                origin=event.origin,
-                epoch=event.epoch,
-            ))
+        for version in event.operations:
+            store.apply_version(version)
             applied += 1
     return applied
 

@@ -30,7 +30,8 @@ instead of rebuilding anything.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.directory.indexes import AttributeIndexSet
 from repro.ldap.dn import DistinguishedName
@@ -277,7 +278,8 @@ class DITIndex:
 
 
 class _CatalogEntry:
-    __slots__ = ("entry_id", "dn", "partition_index", "sort_key", "values")
+    __slots__ = ("entry_id", "dn", "partition_index", "sort_key", "values",
+                 "record")
 
     def __init__(self, entry_id: str, dn: DistinguishedName,
                  partition_index: int, sort_key: str,
@@ -289,6 +291,10 @@ class _CatalogEntry:
         #: Indexed attribute -> normalised value tuple, the snapshot diffed
         #: against on MODIFY so stale postings are withdrawn.
         self.values = values
+        #: The raw record ``values`` was normalised from, when every
+        #: indexed attribute in it is spelled as declared; ``None`` when
+        #: the snapshot came from the LDAP view or from case variants.
+        self.record: Optional[Dict[str, Any]] = None
 
 
 class DirectoryCatalog:
@@ -351,20 +357,38 @@ class DirectoryCatalog:
 
     def apply_commit(self, partition_index: int, record) -> None:
         """Fold one WAL commit record into the catalog (the commit hook)."""
-        for operation in record.operations:
-            if operation.value is TOMBSTONE:
-                self.remove(operation.key)
+        for version in record.operations:
+            if version.value is TOMBSTONE:
+                self.remove(version.key)
             else:
-                self.upsert(operation.key, operation.value, partition_index)
+                self.upsert(version.key, version.value, partition_index,
+                            version.base, version.changed)
         self._flush_relabels()
 
-    def upsert(self, key: str, value: Any, partition_index: int) -> None:
+    def upsert(self, key: str, value: Any, partition_index: int,
+               base: Optional[Mapping[str, Any]] = None,
+               changed: Optional[Tuple[str, ...]] = None) -> None:
+        """Fold ``value`` in as ``key``'s entry.
+
+        ``base`` and ``changed`` are a merged version's
+        (:class:`~repro.storage.records.RecordVersion`): ``value`` differs
+        from ``base`` at most in the ``changed`` attributes.
+        """
         existing = self._entries.get(key)
         if existing is not None and isinstance(value, dict):
             # MODIFY fast path: the DN of a stored key never changes, so
             # the indexed values diff straight off the raw record -- no
-            # LDAP entry is materialised on the write hot path.
-            self._diff_values(existing, key, value, partition_index)
+            # LDAP entry is materialised on the write hot path.  When the
+            # snapshot was taken from exactly the record this value was
+            # merged onto, only the changed attributes are re-normalised.
+            existing.partition_index = partition_index
+            if base is not None and existing.record is base and \
+                    changed is not None and \
+                    self.attributes.spelled_exactly(changed):
+                self.attributes.refold(key, existing.values, value, changed)
+                existing.record = value
+            else:
+                self._diff_values(existing, key, value)
             return
         view = self.entry_view(key, value)
         if view is None:
@@ -378,9 +402,8 @@ class DirectoryCatalog:
             self.attributes.add(attribute, key, values)
 
     def _diff_values(self, existing: _CatalogEntry, key: str,
-                     record: Dict[str, Any], partition_index: int) -> None:
+                     record: Dict[str, Any]) -> None:
         new_values = self.attributes.normalised_values(record)
-        existing.partition_index = partition_index
         old_values = existing.values
         for attribute, values in old_values.items():
             if new_values.get(attribute) != values:
@@ -389,6 +412,8 @@ class DirectoryCatalog:
             if old_values.get(attribute) != values:
                 self.attributes.add(attribute, key, values)
         existing.values = new_values
+        existing.record = (record if self.attributes.spelled_exactly(record)
+                           else None)
 
     def remove(self, key: str) -> None:
         existing = self._entries.pop(key, None)

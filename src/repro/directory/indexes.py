@@ -189,9 +189,13 @@ class AttributeIndexSet:
     """The secondary indexes a directory catalog maintains per entry."""
 
     def __init__(self, attributes: Iterable[str]):
+        attributes = tuple(attributes)
         self._indexes: Dict[str, AttributeIndex] = {
             attribute.lower(): AttributeIndex(attribute)
             for attribute in attributes}
+        #: Lower-cased attribute -> the spelling it was declared with.
+        self._spellings: Dict[str, str] = {
+            attribute.lower(): attribute for attribute in attributes}
 
     @property
     def attributes(self) -> List[str]:
@@ -213,6 +217,48 @@ class AttributeIndexSet:
             if values:
                 snapshot[attribute] = values
         return snapshot
+
+    def spelled_exactly(self, attributes: Iterable[str]) -> bool:
+        """True when every name in ``attributes`` that an index covers is
+        spelled as that index was declared.
+
+        An entry whose attributes all pass holds at most one attribute per
+        index, found by its declared name, so the index's values can be
+        re-read from that one attribute (see :meth:`refold`).
+        """
+        spellings = self._spellings
+        for attribute in attributes:
+            spelling = spellings.get(attribute.lower())
+            if spelling is not None and spelling != attribute:
+                return False
+        return True
+
+    def refold(self, entry_id: str, snapshot: Dict[str, Tuple[str, ...]],
+               entry: Mapping[str, Any], changed: Iterable[str]) -> None:
+        """Bring ``snapshot`` and the postings up to date with ``entry``
+        when only the ``changed`` attributes moved.
+
+        ``snapshot`` must be :meth:`normalised_values` of the entry before
+        the change and every name must pass :meth:`spelled_exactly`; the
+        result, and every posting operation per index, is then what a full
+        re-normalisation and diff would give.
+        """
+        for attribute in changed:
+            lowered = attribute.lower()
+            index = self._indexes.get(lowered)
+            if index is None:
+                continue
+            values = normalise_attribute_values(entry.get(attribute)) or None
+            old = snapshot.get(lowered)
+            if old == values:
+                continue
+            if old is not None:
+                index.discard(entry_id, old)
+            if values is None:
+                del snapshot[lowered]
+            else:
+                index.add(entry_id, values)
+                snapshot[lowered] = values
 
     def add(self, attribute: str, entry_id: str,
             values: Tuple[str, ...]) -> None:

@@ -32,7 +32,7 @@ from repro.storage.isolation import IsolationLevel
 from repro.storage.records import TOMBSTONE, RecordVersion, record_size
 from repro.storage.engine import RecordStore
 from repro.storage.locks import LockManager, LockMode
-from repro.storage.wal import LogRecord, WriteAheadLog, WriteOperation
+from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.storage.transactions import Transaction, TransactionManager
 from repro.storage.checkpoint import CheckpointPolicy, Checkpointer
 from repro.storage.partitioning import (
@@ -74,6 +74,5 @@ __all__ = [
     "TransactionStateError",
     "WriteAheadLog",
     "WriteConflict",
-    "WriteOperation",
     "record_size",
 ]

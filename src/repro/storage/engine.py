@@ -9,8 +9,10 @@ Only the *latest* version of each record counts towards RAM usage: old
 versions exist for analysis and would be garbage-collected by a real engine.
 
 The accounting is incremental: the store keeps the size of every key's
-latest live version, so the live-record count is the size map's length and
-each committed version is sized once, when it is applied.  Only this class's
+latest live version, so the live-record count is the size map's length.
+A version carries its own size, computed once when the commit built it
+(:attr:`RecordVersion.size`), and every copy the version is installed on
+reads that number instead of re-sizing the record.  Only this class's
 methods may change a version chain; anything else would bypass the
 accounting.
 """
@@ -66,35 +68,40 @@ class RecordStore:
             self._last_applied_seq = version.commit_seq
         # RAM accounting: replace the previous latest version's footprint.
         sizes = self._latest_sizes
-        if version.value is TOMBSTONE:
+        size = version.size
+        if size is None:  # a tombstone
             self._live_bytes -= sizes.pop(key, 0)
         else:
-            size = version.size()
             self._live_bytes += size - sizes.get(key, 0)
             sizes[key] = size
 
     def replace_latest(self, key: str, value: Any) -> bool:
         """Overwrite the value of ``key``'s latest live version in place.
 
-        Same version slot, no new chain entry, watermark untouched (what
+        Same chain slot, no new chain entry, watermark untouched (what
         silent corruption does to a copy); the RAM accounting follows the
-        new value.  Returns False, changing nothing, when ``key`` has no
-        live record or ``value`` is a tombstone.
+        new value.  The slot gets a new version: the old one may be shared
+        with other copies and with the commit log, so it is never mutated.
+        Returns False, changing nothing, when ``key`` has no live record or
+        ``value`` is a tombstone.
         """
         previous = self._latest_sizes.get(key)
         if previous is None or value is TOMBSTONE:
             return False
         chain = self._versions[key]
         latest = chain[-1]
-        replacement = RecordVersion(
+        size = record_size(value)
+        chain[-1] = RecordVersion(
             key=key, value=value, commit_seq=latest.commit_seq,
             transaction_id=latest.transaction_id, origin=latest.origin,
-            epoch=latest.epoch)
-        chain[-1] = replacement
-        size = replacement.size()
+            epoch=latest.epoch, size=size)
         self._live_bytes += size - previous
         self._latest_sizes[key] = size
         return True
+
+    def latest_size(self, key: str) -> Optional[int]:
+        """Size of ``key``'s latest live version (``None`` when not live)."""
+        return self._latest_sizes.get(key)
 
     def latest(self, key: str) -> Optional[RecordVersion]:
         """Latest committed version of ``key`` (may be a tombstone), or None."""

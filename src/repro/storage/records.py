@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
 
 class _Tombstone:
@@ -59,6 +59,17 @@ class RecordVersion:
         master's commits supersede a deposed master's unshipped tail even
         when their sequence numbers overlap.
 
+    A commit builds one version per written key, and that one object is
+    the log record's operation, every copy's chain entry and what the
+    commit-log followers fold, so it is immutable and sized once:
+    ``size`` is :func:`record_size` of ``value`` (``None`` for a
+    tombstone), given by the committer when it already knows it.  A
+    version made by merging a change map onto a stored value also carries
+    ``changed`` (the attribute names the map touched) and ``base`` (the
+    value it was merged onto); followers that last folded exactly ``base``
+    may then re-derive only those attributes.  The three are not fields:
+    equality, hashing and ``repr`` see only the committed data.
+
     Every committed version is kept for the life of its store, so the
     class is slotted.  ``dataclass(slots=True)`` needs Python 3.10; an
     explicit ``__slots__`` with a hand-written ``__init__`` works on 3.9
@@ -66,7 +77,7 @@ class RecordVersion:
     """
 
     __slots__ = ("key", "value", "commit_seq", "transaction_id", "origin",
-                 "epoch")
+                 "epoch", "size", "changed", "base")
 
     key: str
     value: Any
@@ -74,9 +85,18 @@ class RecordVersion:
     transaction_id: int
     origin: str
     epoch: int
+    if TYPE_CHECKING:
+        # Declared for type checkers only, so the dataclass does not make
+        # them fields.
+        size: Optional[int]
+        changed: Optional[Tuple[str, ...]]
+        base: Optional[Mapping]
 
     def __init__(self, key: str, value: Any, commit_seq: int,
-                 transaction_id: int, origin: str = "", epoch: int = 0):
+                 transaction_id: int, origin: str = "", epoch: int = 0,
+                 size: Optional[int] = None,
+                 changed: Optional[Tuple[str, ...]] = None,
+                 base: Optional[Mapping] = None):
         set_field = object.__setattr__
         set_field(self, "key", key)
         set_field(self, "value", value)
@@ -84,6 +104,13 @@ class RecordVersion:
         set_field(self, "transaction_id", transaction_id)
         set_field(self, "origin", origin)
         set_field(self, "epoch", epoch)
+        if value is TOMBSTONE:
+            size = None
+        elif size is None:
+            size = record_size(value)
+        set_field(self, "size", size)
+        set_field(self, "changed", changed)
+        set_field(self, "base", base)
 
     def __reduce__(self):
         return reduce_slotted(self)
@@ -96,9 +123,6 @@ class RecordVersion:
     @property
     def is_delete(self) -> bool:
         return self.value is TOMBSTONE
-
-    def size(self) -> int:
-        return record_size(self.value)
 
 
 def reduce_slotted(instance: Any) -> tuple:
@@ -130,6 +154,22 @@ def record_size(value: Any) -> int:
     return 24 + _value_size(value)
 
 
+def resized(size: int, base: Mapping, value: Mapping,
+            changed: Iterable[str]) -> int:
+    """:func:`record_size` of ``value``, given ``size`` of ``base``, when
+    the two maps differ at most in the ``changed`` attributes.
+
+    The size is additive per attribute, so only the changed attributes'
+    terms are re-derived: bit-identical to a full recount.
+    """
+    for attribute in changed:
+        if attribute in base:
+            size -= 24 + len(str(attribute)) + _value_size(base[attribute])
+        if attribute in value:
+            size += 24 + len(str(attribute)) + _value_size(value[attribute])
+    return size
+
+
 def _value_size(value: Any) -> int:
     # Ordered by what profiles hold; the ``Mapping`` ABC check is slow, so
     # plain dicts and the profile's absent (``None``) attributes are caught
@@ -151,7 +191,7 @@ def _value_size(value: Any) -> int:
     return 48
 
 
-def merge_attributes(base: Optional[Dict[str, Any]],
+def merge_attributes(base: Optional[Mapping[str, Any]],
                      changes: Mapping[str, Any]) -> Dict[str, Any]:
     """Return ``base`` updated with ``changes`` (None values delete attributes).
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.storage.engine import RecordStore
 from repro.storage.errors import (
@@ -23,9 +23,13 @@ from repro.storage.errors import (
 )
 from repro.storage.isolation import IsolationLevel
 from repro.storage.locks import LockManager, LockMode
-from repro.storage.records import TOMBSTONE, merge_attributes
-from repro.storage.records import RecordVersion
-from repro.storage.wal import LogRecord, WriteAheadLog, WriteOperation
+from repro.storage.records import (
+    TOMBSTONE,
+    RecordVersion,
+    merge_attributes,
+    resized,
+)
+from repro.storage.wal import LogRecord, WriteAheadLog
 
 
 class TransactionState(enum.Enum):
@@ -67,6 +71,12 @@ class Transaction:
         self.snapshot_seq = snapshot_seq
         self.state = TransactionState.ACTIVE
         self._writes: Dict[str, Any] = {}
+        #: key -> (merged value, base it was merged onto, changed names)
+        #: of the latest :meth:`modify`; the commit trusts it only while
+        #: the merged value is still the key's write and the base is
+        #: still the store's latest value.
+        self._deltas: Dict[str, Tuple[Dict[str, Any], Mapping[str, Any],
+                                      Tuple[str, ...]]] = {}
         self._read_keys: List[str] = []
 
     # -- helpers -------------------------------------------------------------
@@ -152,8 +162,9 @@ class Transaction:
         current = self.read_or_default(key, default={})
         if not isinstance(current, Mapping):
             raise TypeError(f"record {key!r} is not an attribute map")
-        updated = merge_attributes(dict(current), changes)
+        updated = merge_attributes(current, changes)
         self.write(key, updated)
+        self._deltas[key] = (updated, current, tuple(changes))
         return updated
 
     def delete(self, key: str) -> None:
@@ -309,30 +320,46 @@ class TransactionManager:
                 return None
             commit_seq = self._next_commit_seq
             self._next_commit_seq += 1
-            operations = tuple(WriteOperation(key, value)
-                               for key, value in writes.items())
+            versions = tuple(self._version(transaction, key, value, commit_seq)
+                             for key, value in writes.items())
             record = self.wal.append(
                 transaction_id=transaction.transaction_id,
                 commit_seq=commit_seq,
-                operations=operations,
+                operations=versions,
                 origin=self.name,
                 timestamp=timestamp,
                 epoch=self.epoch,
             )
-            for operation in operations:
-                self.store.apply_version(RecordVersion(
-                    key=operation.key,
-                    value=operation.value,
-                    commit_seq=commit_seq,
-                    transaction_id=transaction.transaction_id,
-                    origin=self.name,
-                    epoch=self.epoch,
-                ))
+            for version in versions:
+                self.store.apply_version(version)
             self.commits += 1
             return record
         finally:
             self.store.clear_dirty(transaction.transaction_id, list(writes))
             self.locks.release_all(transaction.transaction_id)
+
+    def _version(self, transaction: Transaction, key: str, value: Any,
+                 commit_seq: int) -> RecordVersion:
+        """The one version a commit installs for ``key``, sized once.
+
+        A :meth:`Transaction.modify` whose merged value is still the
+        write, merged onto what is still the store's latest value, is
+        sized from that value's size and the changed attributes alone;
+        anything else is sized in full.
+        """
+        delta = transaction._deltas.get(key)
+        if delta is not None and delta[0] is value:
+            _merged, base, changed = delta
+            size = self.store.latest_size(key)
+            if size is not None and self.store.get(key) is base:
+                return RecordVersion(key, value, commit_seq,
+                                     transaction.transaction_id, self.name,
+                                     self.epoch,
+                                     resized(size, base, value, changed),
+                                     changed, base)
+        return RecordVersion(key, value, commit_seq,
+                             transaction.transaction_id, self.name,
+                             self.epoch)
 
     def _abort(self, transaction: Transaction, reason: str = "") -> None:
         self.aborts += 1
@@ -347,17 +374,12 @@ class TransactionManager:
 
         The master's commit sequence number is preserved, which is the
         mechanism that gives every slave exactly the master's serialisation
-        order (section 3.2 of the paper).
+        order (section 3.2 of the paper).  The record's operations are the
+        master's own versions, already sized; the slave installs those
+        objects unchanged.
         """
-        for operation in record.operations:
-            self.store.apply_version(RecordVersion(
-                key=operation.key,
-                value=operation.value,
-                commit_seq=record.commit_seq,
-                transaction_id=record.transaction_id,
-                origin=record.origin,
-                epoch=record.epoch,
-            ))
+        for version in record.operations:
+            self.store.apply_version(version)
         self._next_commit_seq = max(self._next_commit_seq,
                                     record.commit_seq + 1)
         return self.wal.append_record(record)

@@ -8,7 +8,9 @@ in the paper's architecture:
   storage element crashes (section 3.1's periodic dump, footnote 6);
 * it is the **replication stream**: the master ships log records, in LSN
   order, to the slave copies, which is what guarantees the identical
-  serialisation order the paper requires (section 3.2);
+  serialisation order the paper requires (section 3.2).  A record carries
+  the commit's own sized versions, and a slave installs those objects
+  as they are;
 * it is the **audit trail** used by the consistency-restoration process after
   a multi-master partition incident (section 5).
 
@@ -26,35 +28,21 @@ records; :meth:`WalTap.resume` replays what it missed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.storage.records import reduce_slotted
-
-
-@dataclass(frozen=True, init=False)
-class WriteOperation:
-    """A single key write (or delete) inside a committed transaction."""
-
-    # Slotted like RecordVersion (see there for why not ``slots=True``).
-    __slots__ = ("key", "value")
-
-    key: str
-    value: Any
-
-    def __init__(self, key: str, value: Any):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "value", value)
-
-    def __reduce__(self):
-        return reduce_slotted(self)
-
-    def __repr__(self) -> str:
-        return f"WriteOperation({self.key!r})"
+from repro.storage.records import RecordVersion, reduce_slotted
 
 
 @dataclass(frozen=True, init=False)
 class LogRecord:
-    """One committed transaction in the commit log."""
+    """One committed transaction in the commit log.
+
+    ``operations`` are the commit's own :class:`~repro.storage.records.
+    RecordVersion` objects, one per written key: the master installs them,
+    every slave that applies the record installs the same objects, and
+    every tap folds them, so a write is sized once for the whole replica
+    set.
+    """
 
     __slots__ = ("lsn", "transaction_id", "commit_seq", "operations",
                  "origin", "timestamp", "epoch")
@@ -62,7 +50,7 @@ class LogRecord:
     lsn: int
     transaction_id: int
     commit_seq: int
-    operations: Tuple[WriteOperation, ...]
+    operations: Tuple[RecordVersion, ...]
     origin: str
     timestamp: float
     #: Promotion epoch of the mastership that committed the transaction
@@ -70,7 +58,7 @@ class LogRecord:
     epoch: int
 
     def __init__(self, lsn: int, transaction_id: int, commit_seq: int,
-                 operations: Tuple[WriteOperation, ...], origin: str = "",
+                 operations: Tuple[RecordVersion, ...], origin: str = "",
                  timestamp: float = 0.0, epoch: int = 0):
         set_field = object.__setattr__
         set_field(self, "lsn", lsn)
@@ -157,7 +145,7 @@ class WriteAheadLog:
     # -- append ---------------------------------------------------------------
 
     def append(self, transaction_id: int, commit_seq: int,
-               operations: Tuple[WriteOperation, ...],
+               operations: Tuple[RecordVersion, ...],
                origin: str = "", timestamp: float = 0.0,
                epoch: int = 0) -> LogRecord:
         """Append a committed transaction and return its log record."""

@@ -7,8 +7,8 @@ import pytest
 from repro.directory import DirectoryCatalog, DITIndex
 from repro.ldap.dn import DistinguishedName
 from repro.ldap.schema import SubscriberSchema
-from repro.storage.records import TOMBSTONE
-from repro.storage.wal import LogRecord, WriteOperation
+from repro.storage.records import TOMBSTONE, RecordVersion
+from repro.storage.wal import LogRecord
 
 BASE = DistinguishedName.parse("ou=subscribers,dc=udr,dc=example")
 
@@ -132,7 +132,8 @@ class TestDITIndex:
 
 def _record(lsn, *operations):
     return LogRecord(lsn=lsn, transaction_id=lsn, commit_seq=lsn,
-                     operations=tuple(WriteOperation(key, value)
+                     operations=tuple(RecordVersion(key, value, lsn, lsn,
+                                                    "test")
                                       for key, value in operations),
                      origin="test")
 

@@ -12,6 +12,8 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdc.history import HistoryEntry
+from repro.cdc.stream import ChangeEvent
 from repro.faults import flip_store_record
 from repro.storage import (
     LockManager,
@@ -25,7 +27,7 @@ from repro.storage import (
 )
 from repro.storage.engine import staleness
 from repro.storage.records import merge_attributes
-from repro.storage.wal import LogRecord, WriteOperation
+from repro.storage.wal import LogRecord
 
 
 def version(key, value, seq, tx=1, origin="test"):
@@ -270,10 +272,12 @@ class TestPrivateStoreState:
 class TestSlottedRecords:
     SAMPLES = (
         version("k", {"v": 1}, 3, tx=9, origin="se-1"),
-        WriteOperation("k", {"v": 1}),
         LogRecord(lsn=1, transaction_id=9, commit_seq=3,
-                  operations=(WriteOperation("k", {"v": 1}),),
+                  operations=(version("k", {"v": 1}, 3, tx=9,
+                                      origin="se-1"),),
                   origin="se-1", timestamp=2.5, epoch=1),
+        HistoryEntry("k", 3, 9, "se-1", 2.5, "modify", {"v": 1}),
+        ChangeEvent(0, 3, 1, 9, "se-1", 2.5, (), epoch=1),
     )
 
     @pytest.mark.parametrize("sample", SAMPLES,
@@ -292,7 +296,20 @@ class TestSlottedRecords:
         assert plain != RecordVersion("k", {"v": 1}, 3, 9, epoch=1)
         record = LogRecord(1, 9, 3, ())
         assert (record.origin, record.timestamp, record.epoch) == ("", 0.0, 0)
-        assert hash(WriteOperation("k", 1)) == hash(WriteOperation("k", 1))
+
+    def test_size_and_delta_slots_are_not_fields(self):
+        merged = RecordVersion("k", {"v": 2}, 3, 9, size=record_size({"v": 2}),
+                               changed=("v",), base={"v": 1})
+        plain = RecordVersion("k", {"v": 2}, 3, 9)
+        assert merged == plain and repr(merged) == repr(plain)
+        assert merged.size == plain.size == record_size({"v": 2})
+        assert (plain.changed, plain.base) == (None, None)
+        assert hash(RecordVersion("k", 1, 3, 9, size=5)) == \
+            hash(RecordVersion("k", 1, 3, 9))
+        assert RecordVersion("k", TOMBSTONE, 4, 9).size is None
+        restored = pickle.loads(pickle.dumps(merged))
+        assert (restored.size, restored.changed, restored.base) == \
+            (merged.size, ("v",), {"v": 1})
 
 
 class TestRecordHelpers:
