@@ -7,8 +7,8 @@ Run with::
 Asynchronous replication decouples transaction latency from propagation, so
 its knob -- how long committed records may wait before shipping to the
 slaves -- trades *background* cost against *replica lag*.  The site-pair
-:class:`~repro.replication.mux.ReplicationMux` (the default since the
-event-driven replication PR) makes that trade-off explicit:
+:class:`~repro.replication.mux.ReplicationMux`, the deployment's only
+shipping driver, makes that trade-off explicit:
 
 * it wakes **on commit** instead of polling every ``(partition, slave)``
   channel on a fixed cadence, so an idle deployment schedules zero
@@ -20,9 +20,11 @@ event-driven replication PR) makes that trade-off explicit:
   a slave copy may be -- exactly the lag that becomes stale reads (E04)
   and lost transactions on a master crash (E05).
 
-This example drives the same seeded commit stream through per-channel
-polling and through the mux, then sweeps the ship-linger budget to show
-shipments and freshness moving in opposite directions.
+This example prints E17's recorded per-channel polling reference (the
+paper's literal one-process-per-channel reading, measured before that
+driver was removed), then sweeps the mux's ship-linger budget over one
+seeded commit stream to show shipments and freshness moving in opposite
+directions.
 """
 
 import sys
@@ -31,19 +33,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import UDRConfig, UDRNetworkFunction
+from repro.experiments import e17_replication_mux as e17
 from repro.metrics import format_table
 
 COMMITS = 600
 RATE = 400.0
 
 
-def measure(replication_mux: bool, interval: float):
+def measure(interval: float):
     """Drive a Poisson commit stream; return cost and freshness figures."""
     config = UDRConfig(seed=33, storage_elements_per_site=4,
-                       replication_factor=3, replication_mux=replication_mux,
-                       replication_interval=interval,
-                       name=f"repl-{'mux' if replication_mux else 'poll'}"
-                            f"-{interval:g}")
+                       replication_factor=3, replication_interval=interval,
+                       name=f"repl-mux-{interval:g}")
     udr = UDRNetworkFunction(config)
     udr.start()
     partitions = sorted(udr.replica_sets)
@@ -68,8 +69,7 @@ def measure(replication_mux: bool, interval: float):
     udr.sim.process(sampler())
     udr.sim.run_until_triggered(process, limit=3600.0)
     udr.sim.run_for(10 * interval)
-    wakeups = (udr.replication_mux.wakeups if replication_mux
-               else sum(channel.wakeups for channel in udr.channels))
+    wakeups = udr.replication_mux.wakeups
     transfers = udr.network.stats.total_messages()
     mean_lag = sum(lag_samples) / len(lag_samples) if lag_samples else 0.0
     udr.stop()
@@ -77,33 +77,32 @@ def measure(replication_mux: bool, interval: float):
 
 
 def main():
-    print("Asynchronous replication: per-channel polling vs the site-pair "
-          "mux\n")
-    rows = []
-    for mux, label in ((False, "per-channel polling"),
-                       (True, "site-pair mux")):
-        wakeups, transfers, mean_lag = measure(mux, interval=0.05)
-        rows.append([label, wakeups, transfers, f"{mean_lag:.1f}"])
-    print("same seeded commit stream, 24 channels over 6 site links, "
-          "50 ms budget:")
+    print("Asynchronous replication: the site-pair mux's ship-linger "
+          "budget\n")
+    polling = e17.POLLING_FANIN
+    print(f"E17's per-channel polling reference (recorded, not a live run): "
+          f"48 channels over 6 site links, {e17.COMMITS} commits at "
+          f"{e17.COMMIT_RATE:g}/s, 50 ms cadence:")
     print(format_table(
         ["shipping mode", "wakeups", "transfers", "mean lag (records)"],
-        rows))
+        [["per-channel polling (recorded)", polling["wakeups"],
+          polling["transfers"], f"{polling['mean_lag_records']:.1f}"]]))
     print()
     rows = []
     for interval in (0.01, 0.05, 0.2):
-        wakeups, transfers, mean_lag = measure(True, interval)
+        wakeups, transfers, mean_lag = measure(interval)
         rows.append([f"{interval * 1000:.0f} ms", wakeups, transfers,
                      f"{mean_lag:.1f}"])
-    print("ship-linger sweep (mux): budget vs replica lag:")
+    print("ship-linger sweep (site-pair mux), 24 channels over 6 site "
+          "links: budget vs replica lag:")
     print(format_table(
         ["ship-linger budget", "wakeups", "transfers",
          "mean lag (records)"], rows))
     print()
-    print("Reading the tables: the mux ships the same records with a "
-          "fraction of the wakeups and transfers because every link's "
-          "streams share one shipment per window -- and because nothing "
-          "at all is scheduled while nothing commits.  The ship-linger "
+    print("Reading the tables: the mux needs a fraction of polling's "
+          "wakeups and transfers because every link's streams share one "
+          "shipment per window -- and because nothing at all is "
+          "scheduled while nothing commits.  The ship-linger "
           "budget then moves cost and freshness in opposite directions: "
           "a long budget ships fat and rarely (cheap, but every record "
           "of the window is exposed to E04-style stale reads and "

@@ -1,7 +1,7 @@
 """Determinism: no wall clocks, no unseeded randomness, no stream sharing.
 
 Bit-identical replays are the foundation every equivalence harness in this
-repo stands on (batch==sequential, mux==polling, armor-off==raw, ...).
+repo stands on (batch==sequential, armor-off==raw, ...).
 They hold only if simulation code draws *all* nondeterminism from two
 places: the simulated clock (``sim.engine``) and the named seeded streams
 of ``sim/rng.py``.  Three rules police that:

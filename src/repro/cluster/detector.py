@@ -186,14 +186,10 @@ class PromotionProtocol:
                    channel.slave_element_name == member_name
                    for channel in deployment.channels):
                 continue
-            channel = AsyncReplicationChannel(
-                self.sim, deployment.network, replica_set, member_name,
-                interval=self.controller.config.replication_interval)
+            channel = AsyncReplicationChannel(self.sim, replica_set,
+                                              member_name)
             deployment.channels.append(channel)
             deployment.replication_mux.attach(channel)
-            if self.controller.started and \
-                    not self.controller.config.replication_mux:
-                channel.start()
             created = True
         if created:
             deployment.replication_mux.rebind()

@@ -381,19 +381,9 @@ class UDRConfig:
     replication_mode: ReplicationMode = ReplicationMode.ASYNCHRONOUS
     partition_policy: PartitionPolicy = PartitionPolicy.PREFER_CONSISTENCY
     write_quorum: int = 2
+    #: Shipping grid of the asynchronous replication mux: a commit ships at
+    #: the next multiple of this interval (the paper's polling cadence).
     replication_interval: float = 50 * units.MILLISECOND
-    #: Drive asynchronous replication through the site-pair
-    #: :class:`~repro.replication.mux.ReplicationMux`: wake on commit
-    #: instead of polling every channel each interval, and ship all
-    #: channels of one ``(master site, slave site)`` link as a single
-    #: network transfer per round.  Shipping stays aligned to the
-    #: ``replication_interval`` grid, so replica freshness (and the
-    #: E04/E05 staleness/loss semantics) is unchanged.  ``False`` restores
-    #: one polling process per ``(partition, slave)`` channel.
-    replication_mux: bool = True
-    #: Framing charge (bytes) of one multiplexed shipment, paid once per
-    #: link per round on top of the per-record bytes.
-    replication_frame_bytes: int = 256
     #: Per-shipment backpressure: at most this many records ride one
     #: ``(master site, slave site)`` shipment of the mux, so a fat link
     #: burst splits into bounded frames over consecutive rounds instead of
@@ -498,8 +488,6 @@ class UDRConfig:
                 "write quorum must be between 1 and the replication factor")
         if self.replication_interval <= 0:
             raise ValueError("replication interval must be positive")
-        if self.replication_frame_bytes < 0:
-            raise ValueError("replication frame bytes cannot be negative")
         if self.replication_shipment_max_records is not None and \
                 self.replication_shipment_max_records < 1:
             raise ValueError(

@@ -246,10 +246,7 @@ class DeploymentBuilder:
         self._build_replica_sets()
         catalog = self._build_catalog()
         change_stream, history_store = self._build_cdc()
-        self._build_replicators()
-        # Recovery notifications re-arm stalled replication links exactly
-        # when their endpoint comes back, instead of a cadence retry.
-        self.replication_mux.bind_availability(availability_manager)
+        self._build_replicators(availability_manager)
         self._build_points_of_access()
         placement_policy = self._build_placement_policy()
         return Deployment(
@@ -359,22 +356,18 @@ class DeploymentBuilder:
                 stream.tap(partition_index, copy)
         return stream, history
 
-    def _build_replicators(self) -> None:
-        # The mux is built unconditionally (its start is gated by
-        # ``config.replication_mux`` in the lifecycle layer) so tooling can
-        # inspect one object either way; shipping stays aligned to the
-        # replication-interval grid the polling channels would tick on.
+    def _build_replicators(self, availability_manager) -> None:
+        # Recovery notifications re-arm stalled replication links exactly
+        # when their endpoint comes back, instead of a cadence retry.
         self.replication_mux = ReplicationMux(
-            self.sim, self.network,
+            self.sim, self.network, availability_manager,
             ship_linger=self.config.replication_interval,
-            frame_bytes=self.config.replication_frame_bytes,
             shipment_max_records=self.config.replication_shipment_max_records,
             wal_retention=self.config.wal_retention)
         for index, replica_set in self.replica_sets.items():
             for slave_name in replica_set.slave_names():
-                channel = AsyncReplicationChannel(
-                    self.sim, self.network, replica_set, slave_name,
-                    interval=self.config.replication_interval)
+                channel = AsyncReplicationChannel(self.sim, replica_set,
+                                                  slave_name)
                 self.channels.append(channel)
                 self.replication_mux.attach(channel)
             self.dual_replicators[index] = DualInSequenceReplicator(

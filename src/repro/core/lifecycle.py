@@ -56,28 +56,19 @@ class ClusterController:
     def start(self) -> None:
         """Start background processes: replication and checkpoints.
 
-        Under ``config.replication_mux`` (the default) asynchronous
-        replication runs through the event-driven site-pair multiplexer --
-        zero simulator wakeups while nothing commits; with it disabled,
-        every channel polls on its own interval, the paper's literal
-        per-``(partition, slave)`` description.
+        Asynchronous replication runs through the event-driven site-pair
+        multiplexer -- zero simulator wakeups while nothing commits.
         """
         if self.started:
             return
         self.started = True
-        if self.config.replication_mux:
-            self.deployment.replication_mux.start()
-        else:
-            for channel in self.deployment.channels:
-                channel.start()
+        self.deployment.replication_mux.start()
         for element in self.deployment.elements.values():
             self.sim.process(self._checkpoint_loop(element),
                              name=f"checkpoint:{element.name}")
 
     def stop(self) -> None:
         self.deployment.replication_mux.stop()
-        for channel in self.deployment.channels:
-            channel.stop()
         self.started = False
 
     def _checkpoint_loop(self, element: StorageElement):

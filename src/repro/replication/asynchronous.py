@@ -12,16 +12,12 @@ Partitions or element failures simply stall the stream; the growing gap is
 the replication lag that produces stale slave reads (experiment E04) and
 lost transactions on master crashes (experiment E05).
 
-Two drivers exist:
-
-* the channel's own background polling process (:meth:`start`), one wakeup
-  every ``interval`` per channel -- the paper's literal description, kept as
-  the baseline (``UDRConfig.replication_mux=False``);
-* the :class:`~repro.replication.mux.ReplicationMux`, which owns *all*
-  channels of a deployment, wakes on commit, and ships every channel of one
-  ``(master site, slave site)`` link in a single network transfer.  For that
-  the channel exposes its shipping state as process-less primitives:
-  :meth:`endpoints`, :meth:`pending_records` and :meth:`apply`.
+The :class:`~repro.replication.mux.ReplicationMux` is the only driver: it
+owns every channel of a deployment, wakes on commit, and ships every channel
+of one ``(master site, slave site)`` link in a single network transfer.  The
+channel itself runs no process; it exposes its shipping state as the
+primitives the mux drives: :meth:`endpoints`, :meth:`pending_records` and
+:meth:`apply`.
 """
 
 from __future__ import annotations
@@ -29,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.errors import NetworkError
 from repro.replication.replica_set import ReplicaSet
-from repro.sim import Interrupt, units
 from repro.storage.wal import LogRecord
 
 
@@ -50,65 +44,25 @@ class ReplicationLag:
 class AsyncReplicationChannel:
     """Ships commit-log records from the current master to one slave element."""
 
-    def __init__(self, sim, network, replica_set: ReplicaSet,
-                 slave_element_name: str,
-                 interval: float = 50 * units.MILLISECOND,
-                 batch_limit: int = 500,
-                 bytes_per_record: int = 700):
-        if interval <= 0:
-            raise ValueError("replication interval must be positive")
+    def __init__(self, sim, replica_set: ReplicaSet, slave_element_name: str,
+                 batch_limit: int = 500, bytes_per_record: int = 700):
         if batch_limit < 1:
             raise ValueError("batch limit must be at least 1")
         self.sim = sim
-        self.network = network
         self.replica_set = replica_set
         self.slave_element_name = slave_element_name
-        self.interval = interval
         self.batch_limit = batch_limit
         self.bytes_per_record = bytes_per_record
         # Shipped position is tracked per master element because a failover
         # switches to a different commit log with its own LSN space.
         self._shipped_lsn: Dict[str, int] = {}
         self.records_shipped = 0
-        self.batches_shipped = 0
         self.stalled_rounds = 0
         #: Shipped records rejected because the slave had already applied a
         #: newer promotion epoch (a deposed master's in-flight shipment).
         self.fenced_drops = 0
-        #: Polling-loop wakeups (the cadence cost the mux eliminates).
-        self.wakeups = 0
-        self.last_ship_time: Optional[float] = None
-        self._running = False
-        self._process = None
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self):
-        """Start the background polling process (legacy per-channel mode)."""
-        if self._running:
-            return self._process
-        self._running = True
-        self._process = self.sim.process(self._run(), name=self._label())
-        return self._process
-
-    def stop(self) -> None:
-        """Stop and *drain* the polling process.
-
-        The process is interrupted out of its pending interval timeout, so a
-        stopped channel neither ships one last round at the next tick nor
-        lingers in the event queue -- which matters once the mux creates and
-        destroys bindings on fail-over.
-        """
-        self._running = False
-        process, self._process = self._process, None
-        if process is not None and process.is_alive:
-            process.interrupt("channel stopped")
-
-    def _label(self) -> str:
-        return (f"async-repl:{self.replica_set.partition.name}"
-                f"->{self.slave_element_name}")
-
-    # -- shipping state (shared with the mux) --------------------------------------
+    # -- shipping state (driven by the mux) ---------------------------------------
 
     def endpoints(self):
         """``(master element, slave element)`` of the current binding.
@@ -207,46 +161,8 @@ class AsyncReplicationChannel:
             applied += 1
         self._shipped_lsn[master_name] = max(
             records[-1].lsn, self._shipped_lsn.get(master_name, 0))
-        if applied:
-            self.records_shipped += applied
-            self.batches_shipped += 1
-            self.last_ship_time = self.sim.now
+        self.records_shipped += applied
         return applied
-
-    # -- the polling driver --------------------------------------------------------
-
-    def _run(self):
-        try:
-            while self._running:
-                yield self.sim.timeout(self.interval)
-                if not self._running:
-                    return
-                self.wakeups += 1
-                yield from self.ship_once()
-        except Interrupt:
-            return
-
-    def ship_once(self):
-        """Attempt one shipping round (generator; usable directly in tests)."""
-        ends = self.endpoints()
-        if ends is None:
-            return 0
-        master_element, slave_element = ends
-        if not master_element.available or not slave_element.available:
-            self.stalled_rounds += 1
-            return 0
-        master_name, pending = self.pending_records()
-        if not pending:
-            return 0
-        try:
-            yield from self.network.transfer(
-                master_element.site, slave_element.site,
-                payload_bytes=self.bytes_per_record * len(pending),
-                stream="replication")
-        except NetworkError:
-            self.stalled_rounds += 1
-            return 0
-        return self.apply(master_name, pending)
 
     # -- metrics -----------------------------------------------------------------------
 
@@ -275,5 +191,6 @@ class AsyncReplicationChannel:
                               seconds=max(0.0, self.sim.now - oldest))
 
     def __repr__(self) -> str:
-        return (f"<AsyncReplicationChannel {self._label()} "
-                f"shipped={self.records_shipped} stalled={self.stalled_rounds}>")
+        return (f"<AsyncReplicationChannel {self.replica_set.partition.name}"
+                f"->{self.slave_element_name} shipped={self.records_shipped} "
+                f"stalled={self.stalled_rounds}>")

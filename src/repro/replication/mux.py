@@ -1,11 +1,10 @@
 """Site-pair replication multiplexer: wake on commit, ship one transfer per link.
 
-The paper's asynchronous channels are described -- and were reproduced -- as
-one background process per ``(partition, slave element)`` pair polling on a
-fixed cadence.  A deployment with P partitions and R-1 slaves each therefore
-schedules P*(R-1) simulator wakeups per interval and ships P*(R-1) separate
-network transfers, even though many of those streams travel the same
-``(master site, slave site)`` backbone link.  :class:`ReplicationMux`
+The paper describes its asynchronous channels as one background process per
+``(partition, slave element)`` pair polling on a fixed cadence: P*(R-1)
+simulator wakeups per interval and as many network transfers, even though
+many of those streams travel the same ``(master site, slave site)`` backbone
+link.  :class:`ReplicationMux` is the deployment's only shipping driver and
 collapses that fan-in:
 
 * **wake on commit** -- the mux taps the commit log of every member copy
@@ -15,15 +14,15 @@ collapses that fan-in:
   *zero* replication events;
 * **ship-linger** -- a commit arms one shipping round for its link, delayed
   to the next multiple of ``ship_linger`` (the configured replication
-  interval).  Aligning to the same grid the polling loops ticked on keeps
-  replica freshness -- and the E04/E05 staleness/loss semantics -- exactly
-  as before, while every commit of the window, across *all* partitions on
-  the link, rides the same round;
+  interval).  Aligning to the paper's polling grid keeps replica freshness
+  -- and the E04/E05 staleness/loss semantics -- record for record, while
+  every commit of the window, across *all* partitions on the link, rides
+  the same round;
 * **one transfer per link per round** -- a round gathers each member
   channel's :meth:`~repro.replication.asynchronous.AsyncReplicationChannel.
   pending_records` and ships them as a single network transfer charged
-  ``frame_bytes`` once plus the per-record bytes, then applies per channel
-  in commit order, exactly as the standalone channels would;
+  :data:`FRAME_BYTES` once plus the per-record bytes, then applies per
+  channel in commit order;
 * **fail-over re-binding** -- a promotion moves a partition's master to a
   different element (and usually site), which changes the link its
   shipments travel.  The taps already cover every member copy, so the
@@ -34,14 +33,12 @@ collapses that fan-in:
 
 Three queue-health policies ride on the rounds:
 
-* **stall handling** -- a round that found backlog it could not ship
-  re-arms itself after ``retry_interval``, so a healing partition drains
-  exactly like the polling loops would, without the idle cost while
-  everything is healthy.  When the mux is subscribed to the availability
-  manager (:meth:`bind_availability`, the default deployment wiring), a
-  stall caused by a *down endpoint* does not poll at all: the link re-arms
-  exactly on the component's recovery notification.  Network-level stalls
-  (a partitioned backbone has no recovery event) keep the cadence retry;
+* **stall handling** -- a stall caused by a *down endpoint* does not poll
+  at all: the mux subscribes to the availability manager's recovery
+  notifications and re-arms the link exactly when the component returns.
+  A network-level stall (a partitioned backbone has no recovery event)
+  re-arms after one ``ship_linger``, so a healing partition drains on the
+  next grid point without any idle cost while everything is healthy;
 * **per-shipment backpressure** -- ``shipment_max_records`` caps how many
   records one round may carry over one link, so a fat burst (a recovered
   slave's whole outage backlog, a bulk provisioning run) splits into
@@ -65,21 +62,26 @@ from repro.net.errors import NetworkError
 from repro.replication.asynchronous import AsyncReplicationChannel
 from repro.sim import units
 
+#: Framing charge (bytes) of one shipment, paid once per link per round on
+#: top of the per-record bytes.
+FRAME_BYTES = 256
+
 
 class ReplicationMux:
-    """Owns every async channel of a deployment; ships per site pair."""
+    """Owns every async channel of a deployment; ships per site pair.
 
-    def __init__(self, sim, network, *,
+    ``availability_manager`` is the deployment's
+    :class:`~repro.cluster.saf.AvailabilityManager`: its recovery
+    notifications re-arm links stalled on a down endpoint.
+    """
+
+    def __init__(self, sim, network, availability_manager, *,
                  ship_linger: float = 50 * units.MILLISECOND,
-                 frame_bytes: int = 256,
-                 retry_interval: Optional[float] = None,
                  shipment_max_records: Optional[int] = None,
                  wal_retention: Optional[int] = None,
                  metrics=None):
         if ship_linger <= 0:
             raise ValueError("ship linger must be positive")
-        if frame_bytes < 0:
-            raise ValueError("frame bytes cannot be negative")
         if shipment_max_records is not None and shipment_max_records < 1:
             raise ValueError("shipment max records must be at least 1")
         if wal_retention is not None and wal_retention < 1:
@@ -87,9 +89,6 @@ class ReplicationMux:
         self.sim = sim
         self.network = network
         self.ship_linger = ship_linger
-        self.frame_bytes = frame_bytes
-        self.retry_interval = (retry_interval if retry_interval is not None
-                               else ship_linger)
         self.shipment_max_records = shipment_max_records
         self.wal_retention = wal_retention
         self.metrics = metrics
@@ -108,13 +107,11 @@ class ReplicationMux:
         #: Per-link rotation of the member scan under a shipment cap, so
         #: the budget is not always spent on the same first channels.
         self._scan_offset: Dict[Tuple, int] = {}
-        #: The availability manager whose recovery notifications re-arm
-        #: stalled links (``None`` falls back to cadence retries).
-        self._availability = None
         self._running = False
         #: Bumped by stop()/rebind(); an armed round whose generation is
         #: stale does nothing when it fires.
         self._generation = 0
+        availability_manager.subscribe_recovery(self._on_recovery)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -126,23 +123,12 @@ class ReplicationMux:
         """Record wakeup counters and shipment histograms into ``metrics``."""
         self.metrics = metrics
 
-    def bind_availability(self, availability_manager) -> None:
-        """Re-arm stalled links exactly on component recovery.
-
-        Subscribes to the availability manager's recovery notifications:
-        when a component returns to service, every link holding backlog
-        whose endpoints are now both available gets a shipping round armed
-        on the interval grid.  With the subscription in place, rounds
-        stalled by a *down endpoint* stop falling back to the cadence
-        retry -- an outage costs zero replication wakeups instead of one
-        per ``retry_interval``.
-        """
-        if self._availability is availability_manager:
-            return
-        self._availability = availability_manager
-        availability_manager.subscribe_recovery(self._on_recovery)
-
     def _on_recovery(self, _component_name: str) -> None:
+        """Re-arm every link whose backlog a recovery made shippable.
+
+        An outage therefore costs zero replication wakeups: rounds stalled
+        by a *down endpoint* wait for this notification, not a cadence.
+        """
         if not self._running:
             return
         for channel in self.channels:
@@ -155,8 +141,7 @@ class ReplicationMux:
         return ends is not None and ends[0].available and ends[1].available
 
     def attach(self, channel: AsyncReplicationChannel) -> None:
-        """Take ownership of one channel (the channel's own process stays
-        stopped; the mux drives its primitives)."""
+        """Take ownership of one channel and drive its primitives."""
         self.channels.append(channel)
         replica_set = channel.replica_set
         channels = self._partition_channels.get(id(replica_set))
@@ -215,9 +200,9 @@ class ReplicationMux:
     def _grid_delay(self) -> float:
         """Delay to the next multiple of the ship-linger interval.
 
-        The polling loops ticked at exactly these instants, so shipping on
-        the same grid preserves replica freshness record for record; the
-        saving is that grid points without pending commits cost nothing.
+        The paper's polling loops tick at exactly these instants, so
+        shipping on the same grid preserves replica freshness record for
+        record; grid points without pending commits cost nothing.
         """
         periods = math.floor(self.sim.now / self.ship_linger) + 1
         return max(0.0, periods * self.ship_linger - self.sim.now)
@@ -239,20 +224,21 @@ class ReplicationMux:
             return
         self.wakeups += 1
         self._count("replication.mux.wakeups")
-        rearm = yield from self._ship_link(key)
+        stalled = yield from self._ship_link(key)
         if generation != self._generation:
             return
         self._armed.discard(key)
-        if rearm is not None:
-            self._arm(key, rearm)
+        if stalled:
+            # A partitioned backbone has no recovery event: retry one
+            # ship-linger later.
+            self._arm(key, self.ship_linger)
         elif any(channel.link_sites() == key and channel.has_backlog()
                  and self._endpoints_available(channel)
                  for channel in self.channels):
             # Commits that landed during the transfer, or a batch-limit /
             # shipment-cap truncation that left records behind.  Backlog on
-            # a down endpoint does not count: it either re-arms on the
-            # recovery notification (bind_availability) or was already
-            # scheduled a cadence retry by _ship_link.
+            # a down endpoint does not count: it re-arms on the recovery
+            # notification.
             self._arm(key, self._grid_delay())
 
     def _ship_link(self, key):
@@ -260,13 +246,12 @@ class ReplicationMux:
 
         Membership is recomputed here, from live channel state, so
         fail-overs between arming and firing are honoured automatically.
-        Returns the re-arm delay when the round stalled, else ``None`` --
-        endpoint stalls return ``None`` too once the mux is subscribed to
-        recovery notifications (the link re-arms on recovery, not on a
-        cadence).  ``shipment_max_records`` caps the round's payload; what
-        does not fit stays backlogged for the next grid point, and the
-        member scan rotates round over round so a channel that keeps the
-        budget busy cannot starve its link-mates indefinitely.
+        Returns whether the transfer stalled on the network (an endpoint
+        stall re-arms on recovery, not on a cadence).
+        ``shipment_max_records`` caps the round's payload; what does not
+        fit stays backlogged for the next grid point, and the member scan
+        rotates round over round so a channel that keeps the budget busy
+        cannot starve its link-mates indefinitely.
         """
         source, destination = key
         members = [channel for channel in self.channels
@@ -276,14 +261,12 @@ class ReplicationMux:
             self._scan_offset[key] = start + 1
             members = members[start:] + members[:start]
         shipment = []
-        endpoint_stalled = False
         budget = self.shipment_max_records
         for channel in members:
             master_element, slave_element = channel.endpoints()
             if not master_element.available or not slave_element.available:
                 if channel.has_backlog():
                     channel.stalled_rounds += 1
-                    endpoint_stalled = True
                 continue
             if budget is not None and budget <= 0:
                 continue  # out of budget; stall accounting still ran above
@@ -295,7 +278,7 @@ class ReplicationMux:
                     budget -= len(records)
                 shipment.append((channel, master_name, records))
         if shipment:
-            payload = self.frame_bytes + sum(
+            payload = FRAME_BYTES + sum(
                 channel.bytes_per_record * len(records)
                 for channel, _master, records in shipment)
             try:
@@ -307,7 +290,7 @@ class ReplicationMux:
                     channel.stalled_rounds += 1
                 self.stalled_rounds += 1
                 self._count("replication.mux.stalled")
-                return self.retry_interval
+                return True
             total = 0
             for channel, master_name, records in shipment:
                 channel.apply(master_name, records)
@@ -324,9 +307,7 @@ class ReplicationMux:
                 self.metrics.histogram(
                     "replication.mux.shipment_size").record(total)
             self._apply_retention()
-        if endpoint_stalled and self._availability is None:
-            return self.retry_interval
-        return None
+        return False
 
     # -- WAL retention -----------------------------------------------------------
 

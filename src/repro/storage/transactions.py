@@ -77,7 +77,6 @@ class Transaction:
         #: still the store's latest value.
         self._deltas: Dict[str, Tuple[Dict[str, Any], Mapping[str, Any],
                                       Tuple[str, ...]]] = {}
-        self._read_keys: List[str] = []
 
     # -- helpers -------------------------------------------------------------
 
@@ -103,7 +102,6 @@ class Transaction:
     def read(self, key: str) -> Any:
         """Read a record according to the transaction's isolation level."""
         self._require_active()
-        self._read_keys.append(key)
         if key in self._writes:
             value = self._writes[key]
             if value is TOMBSTONE:

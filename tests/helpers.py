@@ -1,7 +1,8 @@
 """Shared helpers for building small simulated deployments in tests."""
 
+from repro.cluster.saf import AvailabilityManager
 from repro.net import Network, make_multinational_topology
-from repro.replication import ReplicaSet
+from repro.replication import ReplicaSet, ReplicationMux
 from repro.sim import Simulation
 from repro.storage import DataPartition, ReplicaRole, StorageElement
 
@@ -39,6 +40,28 @@ def master_write(replica_set, key, value, timestamp=0.0):
     tx = copy.transactions.begin()
     tx.write(key, value)
     return tx.commit(timestamp=timestamp)
+
+
+def replicate(sim, network, channels, until=None, availability=None,
+              **mux_options):
+    """Ship ``channels`` through a started mux and run the simulation.
+
+    The channels are attached to a :class:`~repro.replication.mux.
+    ReplicationMux` built with ``availability`` (a fresh
+    :class:`~repro.cluster.saf.AvailabilityManager` when omitted) and a
+    50 ms ship linger; the mux is started, so records committed before or
+    after the call ship on the next grid point.  Runs to ``until``, or
+    until the event queue drains when ``until`` is ``None``.  Returns the
+    mux.
+    """
+    mux = ReplicationMux(sim, network,
+                         availability or AvailabilityManager(sim),
+                         ship_linger=0.05, **mux_options)
+    for channel in channels:
+        mux.attach(channel)
+    mux.start()
+    sim.run(until=until)
+    return mux
 
 
 def run_process(sim, generator):

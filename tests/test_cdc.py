@@ -38,7 +38,7 @@ from repro.storage import RecordStore
 from repro.storage.records import TOMBSTONE
 
 from tests.conftest import build_udr, fe_site_for, run_to_completion
-from tests.helpers import build_replicated_partition, master_write, run_process
+from tests.helpers import build_replicated_partition, master_write, replicate
 
 
 def tapped_stream(replica_set, **kwargs):
@@ -74,9 +74,9 @@ class TestChangeStream:
         sim, network, _, _, replica_set = build_replicated_partition()
         stream = tapped_stream(replica_set)
         master_write(replica_set, "sub-1", {"v": 1})
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        shipped = run_process(sim, channel.ship_once())
-        assert shipped == 1
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
+        replicate(sim, network, [channel])
+        assert channel.records_shipped == 1
         assert replica_set.copy_on("se-1").store.contains("sub-1")
         # The slave's WAL notified the stream, but the record's origin is
         # the master's, so the slave tap filtered it: one event, no dupes.
@@ -97,8 +97,8 @@ class TestChangeStream:
         sim, network, _, _, replica_set = build_replicated_partition()
         stream = tapped_stream(replica_set)
         master_write(replica_set, "sub-1", {"v": 1})
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        run_process(sim, channel.ship_once())
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
+        replicate(sim, network, [channel])
         replica_set.set_master("se-1")
         master_write(replica_set, "sub-1", {"v": 2})
         events = stream.events(0)

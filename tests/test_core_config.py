@@ -86,13 +86,13 @@ class TestUDRConfig:
         assert sparse.weight_of(Priority.BULK) == 1, \
             "classes missing from the mapping default to weight 1"
 
-    def test_replication_mux_knobs(self):
-        config = UDRConfig()
-        assert config.replication_mux, \
-            "event-driven site-pair shipping is the default"
-        assert config.replication_frame_bytes >= 0
-        with pytest.raises(ValueError):
-            UDRConfig(replication_frame_bytes=-1)
+    def test_removed_replication_knobs_are_rejected(self):
+        """The mux is the only shipping driver with a fixed frame charge:
+        the options that picked or tuned a second mode are gone."""
+        with pytest.raises(TypeError):
+            UDRConfig(replication_mux=False)
+        with pytest.raises(TypeError):
+            UDRConfig(replication_frame_bytes=0)
 
     def test_adaptive_linger_policy_validation(self):
         from repro.core import AdaptiveLingerPolicy

@@ -3,9 +3,9 @@
 * WAL retention: ``UDRConfig.wal_retention`` lets the mux truncate master
   commit logs through the slowest shipped-LSN cursor (never past the
   durability watermark), bounding log memory on long runs;
-* recovery re-arm: with the availability-manager subscription, a link
-  stalled on a down endpoint schedules *zero* retry wakeups and re-arms
-  exactly on the component's recovery;
+* recovery re-arm: the mux subscribes to the availability manager, so a
+  link stalled on a down endpoint schedules *zero* retry wakeups and
+  re-arms exactly on the component's recovery;
 * per-shipment backpressure: ``replication_shipment_max_records`` splits a
   fat backlog into bounded frames over consecutive rounds.
 """
@@ -13,9 +13,8 @@
 from repro.cluster.saf import AvailabilityManager
 from repro.core import UDRConfig
 from repro.replication import AsyncReplicationChannel
-from repro.replication.mux import ReplicationMux
 
-from tests.helpers import build_replicated_partition, master_write
+from tests.helpers import build_replicated_partition, master_write, replicate
 from tests.conftest import build_udr, run_to_completion
 
 
@@ -24,9 +23,8 @@ def build_link(seed=1, **mux_kwargs):
     sim, network, _topology, elements, replica_set = \
         build_replicated_partition(seed=seed, num_elements=2,
                                    replication_factor=2)
-    channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-    mux = ReplicationMux(sim, network, ship_linger=0.05, **mux_kwargs)
-    mux.attach(channel)
+    channel = AsyncReplicationChannel(sim, replica_set, "se-1")
+    mux = replicate(sim, network, [channel], until=0.0, **mux_kwargs)
     return sim, network, elements, replica_set, channel, mux
 
 
@@ -34,7 +32,6 @@ class TestWalRetention:
     def test_shipped_and_durable_prefix_is_truncated(self):
         sim, _network, _elements, replica_set, channel, mux = \
             build_link(wal_retention=5)
-        mux.start()
         wal = replica_set.master_copy.wal
         for index in range(12):
             master_write(replica_set, f"k-{index}", {"v": index},
@@ -57,13 +54,11 @@ class TestWalRetention:
         sim, network, _topology, elements, replica_set = \
             build_replicated_partition(seed=2, num_elements=3,
                                        replication_factor=3)
-        fast = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        slow = AsyncReplicationChannel(sim, network, replica_set, "se-2")
-        mux = ReplicationMux(sim, network, ship_linger=0.05, wal_retention=3)
-        mux.attach(fast)
+        fast = AsyncReplicationChannel(sim, replica_set, "se-1")
+        slow = AsyncReplicationChannel(sim, replica_set, "se-2")
         elements[2].crash()  # the slow slave is down: cursor stays at 0
-        mux.attach(slow)
-        mux.start()
+        mux = replicate(sim, network, [fast, slow], until=0.0,
+                        wal_retention=3)
         wal = replica_set.master_copy.wal
         for index in range(8):
             master_write(replica_set, f"k-{index}", {"v": index},
@@ -102,14 +97,17 @@ class TestWalRetention:
 
 class TestRecoveryRearm:
     def test_endpoint_stall_waits_for_recovery_not_cadence(self):
-        sim, network, elements, replica_set, channel, mux = build_link()
+        sim, network, _topology, elements, replica_set = \
+            build_replicated_partition(seed=1, num_elements=2,
+                                       replication_factor=2)
         manager = AvailabilityManager(sim)
         slave = elements[1]
         manager.manage("se-1", fail_action=slave.crash,
                        repair_action=lambda: slave.recover(
                            timestamp=sim.now))
-        mux.bind_availability(manager)
-        mux.start()
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
+        mux = replicate(sim, network, [channel], until=0.0,
+                        availability=manager)
         manager.fail_component("se-1", auto_repair=False)
         master_write(replica_set, "k-1", {"v": 1}, timestamp=sim.now)
         sim.run(until=2.0)
@@ -123,19 +121,8 @@ class TestRecoveryRearm:
         assert mux.wakeups == wakeups_during_outage + 1, \
             "recovery re-armed exactly one shipping round"
 
-    def test_without_subscription_cadence_retry_is_kept(self):
-        sim, _network, elements, replica_set, channel, mux = build_link()
-        mux.start()
-        elements[1].crash()
-        master_write(replica_set, "k-1", {"v": 1}, timestamp=sim.now)
-        sim.run(until=1.0)
-        assert mux.wakeups > 5, "unsubscribed muxes keep the retry cadence"
-        elements[1].recover(timestamp=sim.now)
-        sim.run(until=1.2)
-        assert replica_set.copy_on("se-1").store.contains("k-1")
-
     def test_deployment_outage_costs_no_replication_wakeups(self):
-        """The built deployment wires the subscription by default: an
+        """The built deployment wires the subscription: an
         element outage with pending backlog schedules no mux retries, and
         lifecycle recovery drains the backlog."""
         udr, profiles = build_udr(subscribers=12)
@@ -161,7 +148,6 @@ class TestShipmentBackpressure:
     def test_fat_burst_splits_into_bounded_frames(self):
         sim, network, _elements, replica_set, channel, mux = \
             build_link(shipment_max_records=4)
-        mux.start()
         for index in range(10):
             master_write(replica_set, f"k-{index}", {"v": index},
                          timestamp=sim.now)
@@ -182,13 +168,10 @@ class TestShipmentBackpressure:
         set_b = ReplicaSet(DataPartition(1))
         set_b.add_member(elements[0], ReplicaRole.PRIMARY)
         set_b.add_member(elements[1], ReplicaRole.SECONDARY)
-        channel_a = AsyncReplicationChannel(sim, network, set_a, "se-1")
-        channel_b = AsyncReplicationChannel(sim, network, set_b, "se-1")
-        mux = ReplicationMux(sim, network, ship_linger=0.05,
-                             shipment_max_records=3)
-        mux.attach(channel_a)
-        mux.attach(channel_b)
-        mux.start()
+        channel_a = AsyncReplicationChannel(sim, set_a, "se-1")
+        channel_b = AsyncReplicationChannel(sim, set_b, "se-1")
+        replicate(sim, network, [channel_a, channel_b], until=0.0,
+                  shipment_max_records=3)
         for index in range(3):
             master_write(set_a, f"a-{index}", {"v": index},
                          timestamp=sim.now)
@@ -211,13 +194,10 @@ class TestShipmentBackpressure:
         set_b = ReplicaSet(DataPartition(1))
         set_b.add_member(elements[0], ReplicaRole.PRIMARY)
         set_b.add_member(elements[1], ReplicaRole.SECONDARY)
-        channel_a = AsyncReplicationChannel(sim, network, set_a, "se-1")
-        channel_b = AsyncReplicationChannel(sim, network, set_b, "se-1")
-        mux = ReplicationMux(sim, network, ship_linger=0.05,
-                             shipment_max_records=2)
-        mux.attach(channel_a)
-        mux.attach(channel_b)
-        mux.start()
+        channel_a = AsyncReplicationChannel(sim, set_a, "se-1")
+        channel_b = AsyncReplicationChannel(sim, set_b, "se-1")
+        replicate(sim, network, [channel_a, channel_b], until=0.0,
+                  shipment_max_records=2)
 
         def keep_a_busy():
             index = 0
@@ -237,7 +217,6 @@ class TestShipmentBackpressure:
 
     def test_unbounded_by_default(self):
         sim, _network, _elements, replica_set, channel, mux = build_link()
-        mux.start()
         for index in range(10):
             master_write(replica_set, f"k-{index}", {"v": index},
                          timestamp=sim.now)
@@ -261,7 +240,6 @@ class TestCdcRetention:
     def test_paused_stream_pins_retention(self):
         sim, _network, _elements, replica_set, channel, mux, stream = \
             self.build_cdc_link(wal_retention=3)
-        mux.start()
         wal = replica_set.master_copy.wal
         for index in range(6):
             master_write(replica_set, f"k-{index}", {"v": index},
@@ -293,7 +271,6 @@ class TestCdcRetention:
         """A stream at the tail leaves retention exactly as without CDC."""
         sim, _n, _e, replica_set, channel, mux, stream = \
             self.build_cdc_link(wal_retention=2)
-        mux.start()
         wal = replica_set.master_copy.wal
         for index in range(8):
             master_write(replica_set, f"k-{index}", {"v": index},
@@ -322,7 +299,6 @@ class TestCdcRetention:
         def run(actions):
             sim, _n, _e, replica_set, channel, mux, stream = \
                 self.build_cdc_link(wal_retention=2)
-            mux.start()
             wal = replica_set.master_copy.wal
             writes = 0
             for action in actions:

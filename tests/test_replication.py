@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.saf import AvailabilityManager
 from repro.net import NetworkPartition
 from repro.replication import (
     AsyncReplicationChannel,
@@ -19,6 +20,7 @@ from tests.helpers import (
     build_replicated_partition,
     flip_slave_record,
     master_write,
+    replicate,
     run_process,
 )
 
@@ -75,28 +77,22 @@ class TestReplicaSet:
 class TestAsyncReplication:
     def test_writes_eventually_reach_slaves(self):
         sim, network, _, _, replica_set = build_replicated_partition()
-        channels = [AsyncReplicationChannel(sim, network, replica_set, slave)
+        channels = [AsyncReplicationChannel(sim, replica_set, slave)
                     for slave in replica_set.slave_names()]
-        for channel in channels:
-            channel.start()
         for value in range(3):
             master_write(replica_set, "sub-1", {"v": value},
                          timestamp=sim.now)
-        sim.run(until=5.0)
-        for channel in channels:
-            channel.stop()
+        replicate(sim, network, channels, until=5.0)
         for slave in replica_set.slave_names():
             assert replica_set.copy_on(slave).store.read_committed("sub-1") == \
                 {"v": 2}
 
     def test_serialisation_order_preserved_on_slave(self):
         sim, network, _, _, replica_set = build_replicated_partition()
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        channel.start()
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
         for value in range(5):
             master_write(replica_set, f"sub-{value % 2}", {"v": value})
-        sim.run(until=2.0)
-        channel.stop()
+        replicate(sim, network, [channel], until=2.0)
         master_versions = [
             v.commit_seq
             for v in replica_set.master_copy.store.versions("sub-0")]
@@ -108,17 +104,15 @@ class TestAsyncReplication:
     def test_lag_grows_during_partition_and_recovers(self):
         sim, network, topology, elements, replica_set = \
             build_replicated_partition()
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        channel.start()
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
         partition = NetworkPartition.isolating(elements[0].site)
         network.apply_partition(partition)
         master_write(replica_set, "sub-1", {"v": 1}, timestamp=sim.now)
-        sim.run(until=2.0)
+        replicate(sim, network, [channel], until=2.0)
         assert channel.lag().records == 1
         assert channel.stalled_rounds > 0
         network.heal_partition(partition)
         sim.run(until=4.0)
-        channel.stop()
         assert channel.lag().in_sync
         assert replica_set.copy_on("se-1").store.contains("sub-1")
 
@@ -126,50 +120,32 @@ class TestAsyncReplication:
         sim, network, _, _, replica_set = build_replicated_partition()
         record = master_write(replica_set, "sub-1", {"v": 1})
         replica_set.copy_on("se-1").transactions.apply_log_record(record)
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        shipped = run_process(sim, channel.ship_once())
-        assert shipped == 0
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
+        mux = replicate(sim, network, [channel])
+        assert channel.records_shipped == 0
+        assert mux.shipments == 0
         assert len(replica_set.copy_on("se-1").store.versions("sub-1")) == 1
 
     def test_invalid_channel_parameters_rejected(self):
         sim, network, _, _, replica_set = build_replicated_partition()
         with pytest.raises(ValueError):
-            AsyncReplicationChannel(sim, network, replica_set, "se-1",
-                                    interval=0)
-        with pytest.raises(ValueError):
-            AsyncReplicationChannel(sim, network, replica_set, "se-1",
-                                    batch_limit=0)
+            AsyncReplicationChannel(sim, replica_set, "se-1", batch_limit=0)
 
     def test_stalls_when_slave_element_down(self):
         sim, network, _, elements, replica_set = build_replicated_partition()
         elements[1].crash()
         master_write(replica_set, "sub-1", {"v": 1})
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        shipped = run_process(sim, channel.ship_once())
-        assert shipped == 0
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
+        mux = replicate(sim, network, [channel])
+        assert mux.wakeups == 1, "one round; the stall waits for recovery"
+        assert channel.records_shipped == 0
         assert channel.stalled_rounds == 1
-
-    def test_stop_drains_the_parked_poll(self):
-        """stop() interrupts the process out of its pending interval
-        timeout: a stopped channel neither ships one last round at the
-        next tick nor stays alive in the event queue."""
-        sim, network, _, _, replica_set = build_replicated_partition()
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
-        process = channel.start()
-        sim.run(until=0.01)  # inside the first 50 ms interval
-        master_write(replica_set, "sub-1", {"v": 1}, timestamp=sim.now)
-        channel.stop()
-        sim.run()  # drains to an empty queue instead of looping forever
-        assert not process.is_alive
-        assert channel.records_shipped == 0, \
-            "the pending write must not ship after stop()"
-        assert not replica_set.copy_on("se-1").store.contains("sub-1")
 
     def test_pending_records_and_apply_primitives(self):
         """The mux-facing primitives: pending excludes already-applied
         records, apply advances the cursor, and apply is idempotent."""
         sim, network, _, _, replica_set = build_replicated_partition()
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
         first = master_write(replica_set, "sub-1", {"v": 1})
         second = master_write(replica_set, "sub-2", {"v": 2})
         assert channel.has_backlog()
@@ -188,7 +164,7 @@ class TestAsyncReplication:
         sim, network, _, _, replica_set = build_replicated_partition()
         record = master_write(replica_set, "sub-1", {"v": 1})
         replica_set.copy_on("se-1").transactions.apply_log_record(record)
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
         _master, pending = channel.pending_records()
         assert pending == []
         assert not channel.has_backlog(), "the cursor advanced past it"
@@ -201,7 +177,7 @@ class TestAsyncReplication:
         record = master_write(replica_set, "sub-1", {"v": 1, "msc": "a"})
         replica_set.copy_on("se-1").transactions.apply_log_record(record)
         flip_slave_record(replica_set, "se-1", "sub-1", seed=5)
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
         assert channel.pending_records() == ("se-0", [])
         assert not channel.has_backlog(), "the cursor advanced past it"
         assert replica_set.copy_on("se-1").store.read_committed("sub-1") != \
@@ -209,7 +185,7 @@ class TestAsyncReplication:
 
     def test_inactive_when_slave_is_master(self):
         sim, network, _, _, replica_set = build_replicated_partition()
-        channel = AsyncReplicationChannel(sim, network, replica_set, "se-1")
+        channel = AsyncReplicationChannel(sim, replica_set, "se-1")
         replica_set.set_master("se-1")
         assert channel.endpoints() is None
         assert channel.link_sites() is None
@@ -230,10 +206,11 @@ class TestReplicationMux:
         replica_set_b.add_member(elements[0], ReplicaRole.PRIMARY)
         replica_set_b.add_member(elements[1], ReplicaRole.SECONDARY)
         channels = [
-            AsyncReplicationChannel(sim, network, replica_set, "se-1"),
-            AsyncReplicationChannel(sim, network, replica_set_b, "se-1"),
+            AsyncReplicationChannel(sim, replica_set, "se-1"),
+            AsyncReplicationChannel(sim, replica_set_b, "se-1"),
         ]
-        mux = ReplicationMux(sim, network, ship_linger=0.05)
+        mux = ReplicationMux(sim, network, AvailabilityManager(sim),
+                             ship_linger=0.05)
         for channel in channels:
             mux.attach(channel)
         return sim, network, (replica_set, replica_set_b), channels, mux
