@@ -431,10 +431,20 @@ class ReadPath(PipelineStage):
 
     def _choose_read_element(self, replica_set: ReplicaSet, poa_site: Site,
                              client_type: ClientType) -> Optional[str]:
+        quarantine = self.pipeline.read_quarantine
+        master_only = not self.config.reads_from_slave(client_type)
+        if master_only and not quarantine and not self.pipeline.shed_active:
+            # The master or nothing: the member scan below would answer
+            # the same, from a list of every reachable copy.
+            master = replica_set.master_element_name
+            if master is None:
+                return None
+            element = replica_set.element(master)
+            return master if element.available and self.network.reachable(
+                poa_site, element.site) else None
         reachable = self.reachable_members(replica_set, poa_site)
         if not reachable:
             return None
-        quarantine = self.pipeline.read_quarantine
         if quarantine:
             # Copies under reconciliation repair are skipped while another
             # live copy can serve.  The partition's own master is never
@@ -450,8 +460,7 @@ class ReadPath(PipelineStage):
                 self.pipeline.batch.increment(
                     "reconciliation.reads_steered")
         master = replica_set.master_element_name
-        if not self.config.reads_from_slave(client_type) and \
-                not self.pipeline.shed_active:
+        if master_only and not self.pipeline.shed_active:
             # Shed mode (sustained dispatcher overload) overrides a
             # master-only read policy: serving from the nearest replica
             # trades freshness for master capacity exactly while the queue
@@ -468,8 +477,7 @@ class ReadPath(PipelineStage):
             choice = min(reachable,
                          key=lambda name: self.network.mean_one_way_latency(
                              poa_site, replica_set.element(name).site))
-        if choice != master and \
-                not self.config.reads_from_slave(client_type):
+        if choice != master and master_only:
             # Only possible in shed mode: count the reads it diverted.
             self.pipeline.batch.increment("dispatcher.shed.slave_reads")
         return choice
@@ -492,12 +500,18 @@ class ReadPath(PipelineStage):
 class SearchPath(PipelineStage):
     """Serve a scoped Search: DIT interval scan, postings, keyset paging.
 
-    The indexed path resolves the scope as one interval range-scan over the
-    deployment's :class:`~repro.directory.dit.DirectoryCatalog`, intersects
-    the filter planner's most-selective postings first, and only then fetches
-    candidate records -- in ``(sort_key, entry_id)`` order, stopping as soon
-    as a page is full, so a paged search touches storage proportionally to
-    the page, not the result set.  The parsed filter is compiled once per
+    The indexed path resolves the scope to a span over the deployment's
+    :class:`~repro.directory.dit.DirectoryCatalog` (two binary searches over
+    the DIT's interval labels, plus per-node entry counts), then walks the
+    catalog's materialised ``(sort_key, entry_id)`` listing from the page's
+    keyset cursor: a bisect, then forward, testing the filter planner's
+    postings and the scope lazily, fetching candidate records until the page
+    is full and looking one candidate ahead for ``has_more``.  A page costs
+    its page and the candidates it walks past, not its scope.  The sim
+    charge is unchanged: the scope's comparisons plus
+    ``|scope ∩ postings|``, counted without listing either.  Every input of
+    the walk is fixed at page start, so writes landing during the page's
+    fetches cannot move it.  The parsed filter is compiled once per
     search (:meth:`SubscriberSchema.record_predicate`) and decides on each
     fetched raw record; only a hit becomes an LDAP entry with its ``dn``.
     With ``search_index_enabled`` off (or no catalog) it degrades to a full
@@ -532,32 +546,22 @@ class SearchPath(PipelineStage):
                      ledger: Optional[set]):
         plan, poa = ctx.plan, ctx.poa
         catalog = self.deployment.catalog
-        scoped = catalog.scope_candidates(plan.base_dn, plan.scope)
-        if scoped is None:
+        span = catalog.scope_candidates(plan.base_dn, plan.scope)
+        if span is None:
             raise OperationFailure(ResultCode.NO_SUCH_OBJECT,
                                    f"search base {plan.base_dn} does not "
                                    f"exist")
-        scope_ids, comparisons = scoped
         predicate = SubscriberSchema.record_predicate(parsed)
-        postings = filter_plan.candidates()
-        if postings is not None:
-            candidates = [entry_id for entry_id in scope_ids
-                          if entry_id in postings]
-        else:
-            candidates = list(scope_ids)
-        comparisons += len(candidates)
-        ordered = sorted((catalog.sort_key_of(entry_id), entry_id)
-                         for entry_id in candidates)
-        if after is not None:
-            ordered = [pair for pair in ordered if pair > after]
-        # The interval scan, intersection and sort are LDAP-server CPU work.
-        yield self.sim.timeout(comparisons * poa.ldap_pool.service_time())
+        candidates, walk = catalog.keyset_walk(
+            span, filter_plan.candidates(), after)
+        # Resolving the scope and counting its candidates is LDAP-server
+        # CPU work.
+        yield self.sim.timeout((span.comparisons + candidates)
+                               * poa.ldap_pool.service_time())
         search_ledger = ledger if ledger is not None else set()
         page_size = plan.page_size
         matches: List[Tuple[str, str, dict]] = []
-        consumed = 0
-        for sort_key, entry_id in ordered:
-            consumed += 1
+        for sort_key, entry_id in walk:
             partition = catalog.partition_of(entry_id)
             if partition is None:
                 continue
@@ -570,8 +574,9 @@ class SearchPath(PipelineStage):
                             SubscriberSchema.ldap_entry(record)))
             if page_size is not None and len(matches) >= page_size:
                 break
-        self._emit(ctx, matches,
-                   exhausted=consumed >= len(ordered))
+        # A full page has more to come when the walk holds one more
+        # candidate, whether or not it would match.
+        self._emit(ctx, matches, exhausted=next(walk, None) is None)
 
     def _fetch(self, ctx: OperationContext, replica_set: ReplicaSet,
                entry_id: str, ledger: set):
@@ -852,10 +857,11 @@ class WritePath(PipelineStage):
             transaction.write(key, dict(plan.attributes))
             return None
         if plan.kind is PlanKind.UPDATE:
-            if not transaction.exists(key):
+            try:
+                transaction.modify(key, plan.changes, must_exist=True)
+            except RecordNotFound:
                 raise OperationFailure(ResultCode.NO_SUCH_OBJECT,
-                                       "record not found")
-            transaction.modify(key, plan.changes)
+                                       "record not found") from None
             return None
         prior_value = transaction.read_or_default(key)  # DELETE
         if prior_value is None:

@@ -20,18 +20,20 @@ subtree before the next one).  Relabels are counted and surfaced as the
 renumbering shows up loudly.
 
 :class:`DirectoryCatalog` combines the DIT with the attribute secondary
-indexes (:class:`~repro.directory.indexes.AttributeIndexSet`) and keeps both
-current from commit records -- the deployment taps every partition copy's
-WAL for the commits that copy made itself, so a CREATE,
-MODIFY or DELETE maintains the index incrementally on the commit hook
-instead of rebuilding anything.
+indexes (:class:`~repro.directory.indexes.AttributeIndexSet`) and a
+materialised ``(sort_key, entry_id)`` listing that paged searches walk from
+their keyset cursor, and keeps all three current from commit records -- the
+deployment taps every partition copy's WAL for the commits that copy made
+itself, so a CREATE, MODIFY or DELETE maintains the index incrementally on
+the commit hook instead of rebuilding anything.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from repro.directory.indexes import AttributeIndexSet
 from repro.ldap.dn import DistinguishedName
@@ -46,7 +48,8 @@ class _Node:
     """One DIT node: an entry, or an interior container on an entry's path."""
 
     __slots__ = ("dn", "rdn_key", "parent", "children", "depth",
-                 "pre", "post", "entry_id", "last_child")
+                 "pre", "post", "entry_id", "last_child", "below",
+                 "child_entries")
 
     def __init__(self, dn: Optional[DistinguishedName], rdn_key: str,
                  parent: Optional["_Node"], depth: int):
@@ -62,6 +65,10 @@ class _Node:
         #: The child with the highest pre label (new siblings append after
         #: its post), maintained on insert/delete.
         self.last_child: Optional["_Node"] = None
+        #: Entries in this node's subtree, itself included.
+        self.below = 0
+        #: Entries among this node's direct children.
+        self.child_entries = 0
 
     def __repr__(self) -> str:
         return (f"<_Node {self.rdn_key!r} pre={self.pre} post={self.post} "
@@ -76,10 +83,11 @@ class DITIndex:
     """Pre/post-order interval labels over the directory information tree.
 
     ``insert`` / ``remove`` maintain the labels incrementally (two labels out
-    of the parent's tail gap per insert); ``subtree`` / ``one_level`` /
-    ``base`` resolve a search scope as one binary search plus a contiguous
-    slice of the pre-ordered node array, returning the entry ids in document
-    order together with the comparison count the caller charges as work.
+    of the parent's tail gap per insert) together with per-node entry
+    counts; :meth:`scope` resolves a search scope to a :class:`ScopeSpan`
+    -- its size, its membership test and the comparison count of the
+    interval's two binary searches, which the caller charges as work --
+    without listing a single entry id.
     """
 
     def __init__(self):
@@ -117,6 +125,7 @@ class DITIndex:
         node = self._ensure_node(dn)
         if node.entry_id is None:
             self.entries += 1
+            self._count_entry(node, 1)
         node.entry_id = entry_id
 
     def remove(self, dn: DistinguishedName) -> bool:
@@ -130,6 +139,7 @@ class DITIndex:
             return False
         node.entry_id = None
         self.entries -= 1
+        self._count_entry(node, -1)
         while node is not None and node.parent is not None and \
                 node.entry_id is None and not node.children:
             parent = node.parent
@@ -147,42 +157,29 @@ class DITIndex:
             self._bulk = False
         self._relabel()
 
+    def _count_entry(self, node: _Node, delta: int) -> None:
+        node.parent.child_entries += delta
+        while node is not None:
+            node.below += delta
+            node = node.parent
+
     # -- scope resolution ----------------------------------------------------------
 
-    def subtree(self, base: DistinguishedName) -> Optional[Tuple[List[str], int]]:
-        """Entry ids under ``base`` (base included), plus comparisons spent.
+    def scope(self, base: DistinguishedName, name: str) -> Optional["ScopeSpan"]:
+        """The ``BASE`` / ``ONE_LEVEL`` / ``SUBTREE`` scope under ``base``.
 
-        Returns ``None`` when the base DN is not in the tree at all.
+        Returns ``None`` when the base DN is not in the tree at all.  A
+        subtree includes the base entry; one level excludes it.
         """
         node = self._nodes.get(str(base))
         if node is None:
             return None
+        if name == "BASE":
+            return ScopeSpan(base, name, 1,
+                             0 if node.entry_id is None else 1)
         low, high, comparisons = self._interval_slice(node)
-        ids = [] if node.entry_id is None else [node.entry_id]
-        for inner in self._order[low:high]:
-            if inner.entry_id is not None:
-                ids.append(inner.entry_id)
-        return ids, comparisons + (high - low)
-
-    def one_level(self, base: DistinguishedName
-                  ) -> Optional[Tuple[List[str], int]]:
-        """Entry ids exactly one level below ``base`` (base excluded)."""
-        node = self._nodes.get(str(base))
-        if node is None:
-            return None
-        low, high, comparisons = self._interval_slice(node)
-        child_depth = node.depth + 1
-        ids = [inner.entry_id for inner in self._order[low:high]
-               if inner.depth == child_depth and inner.entry_id is not None]
-        return ids, comparisons + (high - low)
-
-    def base(self, base: DistinguishedName) -> Optional[Tuple[List[str], int]]:
-        """The entry at exactly ``base`` (empty when it is a pure container)."""
-        node = self._nodes.get(str(base))
-        if node is None:
-            return None
-        ids = [] if node.entry_id is None else [node.entry_id]
-        return ids, 1
+        size = node.child_entries if name == "ONE_LEVEL" else node.below
+        return ScopeSpan(base, name, comparisons + (high - low), size)
 
     def _interval_slice(self, node: _Node) -> Tuple[int, int, int]:
         low = bisect_right(self._pres, node.pre)
@@ -277,6 +274,37 @@ class DITIndex:
                 f"nodes={len(self._order)} relabels={self.relabels}>")
 
 
+class ScopeSpan:
+    """A resolved search scope: its cost, its size and a membership test.
+
+    ``comparisons`` is what resolving it cost (two binary searches plus the
+    interval's node count, or one probe for ``BASE``); ``size`` counts the
+    entries in scope.  :meth:`contains` decides by DN ancestry, which no
+    relabel can change, so a span stays valid while the tree moves under a
+    page that is still being walked.
+    """
+
+    __slots__ = ("base", "name", "comparisons", "size")
+
+    def __init__(self, base: DistinguishedName, name: str, comparisons: int,
+                 size: int):
+        self.base = base
+        self.name = name
+        self.comparisons = comparisons
+        self.size = size
+
+    def contains(self, dn: DistinguishedName) -> bool:
+        if self.name == "BASE":
+            return dn == self.base
+        if self.name == "ONE_LEVEL" and len(dn) != len(self.base) + 1:
+            return False
+        return dn.is_descendant_of(self.base)
+
+    def __repr__(self) -> str:
+        return (f"<ScopeSpan {self.name} {self.base} size={self.size} "
+                f"comparisons={self.comparisons}>")
+
+
 class _CatalogEntry:
     __slots__ = ("entry_id", "dn", "partition_index", "sort_key", "values",
                  "record")
@@ -314,6 +342,12 @@ class DirectoryCatalog:
         self.dit = DITIndex()
         self.attributes = AttributeIndexSet(indexed_attributes)
         self._entries: Dict[str, _CatalogEntry] = {}
+        #: Every entry's ``(sort_key, entry_id)``, ascending: the
+        #: materialised listing a paged search walks from its cursor.  The
+        #: DN of a key never changes, so neither does its place here.
+        self._listing: List[Tuple[str, str]] = []
+        #: The entries' DNs, parallel to ``_listing``.
+        self._listed_dns: List[DistinguishedName] = []
         self._metrics = None
         self._reported_relabels = 0
 
@@ -394,12 +428,29 @@ class DirectoryCatalog:
         if view is None:
             return
         dn, ldap_entry = view
-        new_values = self.attributes.normalised_values(ldap_entry)
         self.dit.insert(dn, key)
-        self._entries[key] = _CatalogEntry(
-            key, dn, partition_index, dn.leaf_value, new_values)
-        for attribute, values in new_values.items():
-            self.attributes.add(attribute, key, values)
+        entry = self._new_entry(key, value, dn, ldap_entry, partition_index)
+        index = bisect_left(self._listing, (entry.sort_key, key))
+        self._listing.insert(index, (entry.sort_key, key))
+        self._listed_dns.insert(index, dn)
+
+    def _new_entry(self, key: str, value: Any, dn: DistinguishedName,
+                   ldap_entry: Mapping[str, Any],
+                   partition_index: int) -> _CatalogEntry:
+        """Register ``key``'s entry and post its indexed values.
+
+        The view adds only schema attributes no index covers, so the
+        snapshot is also the raw record's: when the record is spelled
+        exactly, its first MODIFY can refold just the changed attributes.
+        """
+        values = self.attributes.normalised_values(ldap_entry)
+        entry = self._entries[key] = _CatalogEntry(
+            key, dn, partition_index, dn.leaf_value, values)
+        if isinstance(value, dict) and self.attributes.spelled_exactly(value):
+            entry.record = value
+        for attribute, value_tuple in values.items():
+            self.attributes.add(attribute, key, value_tuple)
+        return entry
 
     def _diff_values(self, existing: _CatalogEntry, key: str,
                      record: Dict[str, Any]) -> None:
@@ -420,6 +471,9 @@ class DirectoryCatalog:
         if existing is None:
             return
         self.dit.remove(existing.dn)
+        index = bisect_left(self._listing, (existing.sort_key, key))
+        del self._listing[index]
+        del self._listed_dns[index]
         for attribute, values in existing.values.items():
             self.attributes.discard(attribute, key, values)
         self._flush_relabels()
@@ -433,31 +487,67 @@ class DirectoryCatalog:
             if view is None:
                 continue
             dn, ldap_entry = view
-            values = self.attributes.normalised_values(ldap_entry)
-            self._entries[key] = _CatalogEntry(
-                key, dn, partition_index, dn.leaf_value, values)
-            for attribute, value_tuple in values.items():
-                self.attributes.add(attribute, key, value_tuple)
+            self._new_entry(key, value, dn, ldap_entry, partition_index)
             staged.append((dn, key))
         self.dit.bulk_load(staged)
+        listed = sorted(self._entries.values(),
+                        key=attrgetter("sort_key", "entry_id"))
+        self._listing = [(entry.sort_key, entry.entry_id) for entry in listed]
+        self._listed_dns = [entry.dn for entry in listed]
         self._flush_relabels()
 
     # -- scope resolution ---------------------------------------------------------------
 
     def scope_candidates(self, base: DistinguishedName, scope
-                         ) -> Optional[Tuple[List[str], int]]:
-        """Entry ids matching an LDAP search scope, plus comparisons spent.
+                         ) -> Optional[ScopeSpan]:
+        """The :class:`ScopeSpan` of an LDAP search scope.
 
         ``scope`` is a :class:`~repro.ldap.operations.SearchScope`; returns
         ``None`` when the base DN does not exist in the tree.
         """
         # Compared by value to avoid importing the ldap layer here.
-        name = getattr(scope, "name", str(scope))
-        if name == "BASE":
-            return self.dit.base(base)
-        if name == "ONE_LEVEL":
-            return self.dit.one_level(base)
-        return self.dit.subtree(base)
+        return self.dit.scope(base, getattr(scope, "name", str(scope)))
+
+    def listing_after(self, after: Optional[Tuple[str, str]]
+                      ) -> Tuple[List[Tuple[str, str]],
+                                 List[DistinguishedName]]:
+        """Copies of the listing past the keyset cursor ``after``: the
+        ``(sort_key, entry_id)`` pairs and their DNs."""
+        start = 0 if after is None else bisect_right(self._listing, after)
+        return self._listing[start:], self._listed_dns[start:]
+
+    def keyset_walk(self, span: ScopeSpan, postings: Optional[frozenset],
+                    after: Optional[Tuple[str, str]]
+                    ) -> Tuple[int, Iterator[Tuple[str, str]]]:
+        """``|scope ∩ postings|``, and the scope's candidates past ``after``
+        as a lazy walk in ``(sort_key, entry_id)`` order.
+
+        ``postings`` of ``None`` means every entry is a candidate.  Every
+        input of the walk is fixed by this call -- a copy of the listing
+        tail, the frozen postings and a relabel-proof span -- so the walk
+        yields what a list materialised now would hold, however the catalog
+        changes while it is consumed.  A scope as large as the catalog
+        holds every entry, so the walk skips its test; postings only ever
+        name catalog entries, so that scope's count is the postings' size.
+        """
+        covers = span.size == len(self._entries)
+        if postings is None:
+            count = span.size
+        elif covers:
+            count = len(postings)
+        else:
+            entries, contains = self._entries, span.contains
+            count = sum(1 for entry_id in postings
+                        if contains(entries[entry_id].dn))
+        pairs, dns = self.listing_after(after)
+        if covers:
+            if postings is None:
+                return count, iter(pairs)
+            return count, (pair for pair in pairs if pair[1] in postings)
+        contains = span.contains
+        return count, (pair for pair, dn in zip(pairs, dns)
+                       if (postings is None or pair[1] in postings)
+                       and contains(dn))
 
     def __repr__(self) -> str:
         return (f"<DirectoryCatalog entries={len(self._entries)} "

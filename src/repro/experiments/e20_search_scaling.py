@@ -91,18 +91,19 @@ def _synthetic_base(count: int):
 
 
 def _indexed_search(catalog: DirectoryCatalog, flat, parsed, planner):
-    """The indexed plan: interval scope scan + postings intersection.
+    """The indexed plan: interval scope span + a keyset walk of the
+    listing, testing the postings.
 
     Returns ``(matching ids, records touched)`` -- "touched" counts the
-    entries the full filter was actually evaluated on after pruning, the
-    deterministic cost the default report is built from.
+    entries the full filter was actually evaluated on after pruning
+    (``|scope ∩ postings|``), the deterministic cost the default report is
+    built from.
     """
-    scoped = catalog.scope_candidates(SubscriberSchema.BASE_DN,
-                                      SearchScope.SUBTREE)
-    ids, _comparisons = scoped
-    candidates = planner.plan(parsed).candidates()
-    if candidates is not None:
-        ids = [entry_id for entry_id in ids if entry_id in candidates]
+    span = catalog.scope_candidates(SubscriberSchema.BASE_DN,
+                                    SearchScope.SUBTREE)
+    _count, walk = catalog.keyset_walk(
+        span, planner.plan(parsed).candidates(), None)
+    ids = [entry_id for _sort_key, entry_id in walk]
     return (sorted(entry_id for entry_id in ids
                    if parsed.matches(flat[entry_id][1])), len(ids))
 

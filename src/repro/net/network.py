@@ -185,7 +185,8 @@ class Network:
         failed = self._failed_sites
         if failed and (source in failed or destination in failed):
             return False
-        if source is destination or source == destination:
+        if not self._partitions or source is destination or \
+                source == destination:
             return True
         for partition in self._partitions:
             if partition.blocks(source, destination):

@@ -26,10 +26,10 @@ collapses that fan-in:
 * **fail-over re-binding** -- a promotion moves a partition's master to a
   different element (and usually site), which changes the link its
   shipments travel.  The taps already cover every member copy, so the
-  lifecycle layer's :meth:`rebind` after promotions and recoveries only
-  retires armed rounds and re-arms links with backlog; link membership is
-  recomputed from live channel state at every round, so a round armed just
-  before a fail-over can never ship along a stale binding.
+  lifecycle layer's :meth:`rebind` after promotions and recoveries
+  retires armed rounds, re-indexes which channels travel which link and
+  re-arms links with backlog; a round still re-checks each indexed
+  member's live binding, so it can never ship along a stale one.
 
 Three queue-health policies ride on the rounds:
 
@@ -97,6 +97,10 @@ class ReplicationMux:
         #: in ``channels`` order; the first attach of a partition taps
         #: every member copy's log.
         self._partition_channels: Dict[int, List[AsyncReplicationChannel]] = {}
+        #: Attached channels per ``(master site, slave site)`` link, in
+        #: ``channels`` order; re-indexed by attach, start and rebind, the
+        #: calls that follow every change of a channel's link.
+        self._links: Dict[Tuple, List[AsyncReplicationChannel]] = {}
         self.wakeups = 0
         self.shipments = 0
         self.records_shipped = 0
@@ -151,8 +155,23 @@ class ReplicationMux:
                 replica_set.copy_on(element_name).wal.tap(partial(
                     self._on_commit, replica_set, element_name, channels))
         channels.append(channel)
+        self._index_links()
         if self._running:
             self.rebind()
+
+    def _index_links(self) -> None:
+        links: Dict[Tuple, List[AsyncReplicationChannel]] = {}
+        for channel in self.channels:
+            key = channel.link_sites()
+            if key is not None:
+                links.setdefault(key, []).append(channel)
+        self._links = links
+
+    def _link_members(self, key) -> List[AsyncReplicationChannel]:
+        """The channels shipping over link ``key`` now, in ``channels``
+        order."""
+        return [channel for channel in self._links.get(key, ())
+                if channel.link_sites() == key]
 
     def _on_commit(self, replica_set, element_name: str,
                    channels: List[AsyncReplicationChannel], _record) -> None:
@@ -167,6 +186,7 @@ class ReplicationMux:
         if self._running:
             return
         self._running = True
+        self._index_links()
         self._arm_backlog()
 
     def stop(self) -> None:
@@ -187,6 +207,7 @@ class ReplicationMux:
             return
         self._generation += 1
         self._armed.clear()
+        self._index_links()
         self._arm_backlog()
 
     def _arm_backlog(self) -> None:
@@ -232,9 +253,9 @@ class ReplicationMux:
             # A partitioned backbone has no recovery event: retry one
             # ship-linger later.
             self._arm(key, self.ship_linger)
-        elif any(channel.link_sites() == key and channel.has_backlog()
+        elif any(channel.has_backlog()
                  and self._endpoints_available(channel)
-                 for channel in self.channels):
+                 for channel in self._link_members(key)):
             # Commits that landed during the transfer, or a batch-limit /
             # shipment-cap truncation that left records behind.  Backlog on
             # a down endpoint does not count: it re-arms on the recovery
@@ -244,8 +265,8 @@ class ReplicationMux:
     def _ship_link(self, key):
         """Generator: one shipping round over one ``(site, site)`` link.
 
-        Membership is recomputed here, from live channel state, so
-        fail-overs between arming and firing are honoured automatically.
+        Membership is the link's indexed channels whose live binding still
+        is ``key``, so fail-overs between arming and firing are honoured.
         Returns whether the transfer stalled on the network (an endpoint
         stall re-arms on recovery, not on a cadence).
         ``shipment_max_records`` caps the round's payload; what does not
@@ -254,8 +275,7 @@ class ReplicationMux:
         cannot starve its link-mates indefinitely.
         """
         source, destination = key
-        members = [channel for channel in self.channels
-                   if channel.link_sites() == key]
+        members = self._link_members(key)
         if self.shipment_max_records is not None and len(members) > 1:
             start = self._scan_offset.get(key, 0) % len(members)
             self._scan_offset[key] = start + 1

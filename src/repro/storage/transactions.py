@@ -155,9 +155,16 @@ class Transaction:
         self._writes[key] = value
         self._manager.store.register_dirty(self.transaction_id, key, value)
 
-    def modify(self, key: str, changes: Mapping[str, Any]) -> Dict[str, Any]:
-        """Read-modify-write of an attribute map; returns the new value."""
-        current = self.read_or_default(key, default={})
+    def modify(self, key: str, changes: Mapping[str, Any],
+               must_exist: bool = False) -> Dict[str, Any]:
+        """Read-modify-write of an attribute map; returns the new value.
+
+        A missing record counts as an empty map, or raises
+        :class:`RecordNotFound` (before anything is written) with
+        ``must_exist``.
+        """
+        current = (self.read(key) if must_exist
+                   else self.read_or_default(key, default={}))
         if not isinstance(current, Mapping):
             raise TypeError(f"record {key!r} is not an attribute map")
         updated = merge_attributes(current, changes)

@@ -36,6 +36,20 @@ def _brute_one_level(reference, base):
                   if len(dn) == len(base) + 1 and dn.is_descendant_of(base))
 
 
+def _in_span(span, reference):
+    """The reference entries ``span.contains`` admits, sorted."""
+    return sorted(entry_id for dn, entry_id in reference.items()
+                  if span.contains(dn))
+
+
+def _interval_cost(dit, base):
+    """Two binary searches plus the proper descendants, by brute force."""
+    nodes = [key for key in dit._nodes
+             if DistinguishedName.parse(key).is_descendant_of(base)
+             and DistinguishedName.parse(key) != base]
+    return 2 * max(1, dit.node_count().bit_length()) + len(nodes)
+
+
 def _check_interval_invariant(dit):
     """pre/post must encode ancestry exactly, and _pres must stay sorted."""
     nodes = list(dit._order)
@@ -66,33 +80,43 @@ class TestDITIndex:
         bases = [BASE] + [dn.parent() for dn in reference][:25]
         for base in bases:
             expected = _brute_subtree(reference, base)
-            got = dit.subtree(base)
-            if got is None:
+            span = dit.scope(base, "SUBTREE")
+            if span is None:
                 assert expected == []
                 continue
-            ids, comparisons = got
-            assert sorted(ids) == expected
-            assert comparisons >= 1
-            one = dit.one_level(base)
+            assert _in_span(span, reference) == expected
+            assert span.size == len(expected)
+            assert span.comparisons == _interval_cost(dit, base)
+            one = dit.scope(base, "ONE_LEVEL")
             assert one is not None
-            assert sorted(one[0]) == _brute_one_level(reference, base)
+            assert _in_span(one, reference) == \
+                _brute_one_level(reference, base)
+            assert one.size == len(_brute_one_level(reference, base))
+            assert one.comparisons == span.comparisons
 
     def test_subtree_includes_base_entry_and_base_scope(self):
         dit = DITIndex()
         parent = BASE.child("cn", "group")
         dit.insert(parent, "parent")
         dit.insert(parent.child("uid", "a"), "a")
-        ids, _ = dit.subtree(parent)
-        assert sorted(ids) == ["a", "parent"]
-        assert dit.base(parent) == (["parent"], 1)
-        assert dit.base(BASE) == ([], 1)  # pure container
-        assert dit.subtree(BASE.child("cn", "missing")) is None
+        span = dit.scope(parent, "SUBTREE")
+        assert span.size == 2
+        assert span.contains(parent) and span.contains(parent.child("uid", "a"))
+        assert dit.scope(parent, "ONE_LEVEL").size == 1
+        assert not dit.scope(parent, "ONE_LEVEL").contains(parent)
+        base = dit.scope(parent, "BASE")
+        assert (base.size, base.comparisons) == (1, 1)
+        assert base.contains(parent)
+        assert not base.contains(parent.child("uid", "a"))
+        assert dit.scope(BASE, "BASE").size == 0  # pure container
+        assert dit.scope(BASE.child("cn", "missing"), "SUBTREE") is None
 
     def test_document_order_preserved(self):
         dit = DITIndex()
         for index in range(50):
             dit.insert(BASE.child("imsi", f"{index:03d}"), f"e{index}")
-        ids, _ = dit.subtree(BASE)
+        ids = [node.entry_id for node in dit._order
+               if node.entry_id is not None]
         assert ids == [f"e{index}" for index in range(50)]
 
     def test_relabels_amortised_on_flat_appends(self):
@@ -114,8 +138,9 @@ class TestDITIndex:
         bulk.bulk_load((dn, f"e{index}") for index, dn in enumerate(dns))
         assert bulk.relabels == 1
         for base in (BASE, dns[0].parent(), dns[-1].parent()):
-            assert sorted(bulk.subtree(base)[0]) == \
-                sorted(incremental.subtree(base)[0])
+            for name in ("SUBTREE", "ONE_LEVEL", "BASE"):
+                assert bulk.scope(base, name).size == \
+                    incremental.scope(base, name).size
         _check_interval_invariant(bulk)
 
     def test_remove_prunes_empty_containers(self):
@@ -188,12 +213,15 @@ class TestDirectoryCatalog:
         from repro.ldap.operations import SearchScope
         base = SubscriberSchema.BASE_DN
         subtree = catalog.scope_candidates(base, SearchScope.SUBTREE)
-        assert len(subtree[0]) == 4
+        assert subtree.size == len(catalog) == 4
         one = catalog.scope_candidates(base, SearchScope.ONE_LEVEL)
-        assert sorted(one[0]) == sorted(subtree[0])  # flat tree
+        assert one.size == 4  # flat tree
         entry_dn = SubscriberSchema.subscriber_dn("214070000000001")
-        assert catalog.scope_candidates(entry_dn, SearchScope.BASE)[0] == \
-            ["sub:214070000000001"]
+        span = catalog.scope_candidates(entry_dn, SearchScope.BASE)
+        assert span.size == 1
+        count, walk = catalog.keyset_walk(span, None, None)
+        assert (count, list(walk)) == \
+            (1, [("214070000000001", "sub:214070000000001")])
         missing = SubscriberSchema.subscriber_dn("999")
         assert catalog.scope_candidates(missing, SearchScope.SUBTREE) is None
 

@@ -24,7 +24,6 @@ Pinned here:
 """
 
 import copy
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +63,7 @@ class Trio:
         self.stream = ChangeStream()
         self.history = HistoryStore(self.stream)
         for member in self.copies:
-            member.tap_local_commits(partial(self.catalog.apply_commit, 0))
+            member.tap_local_commits(self._fold)
             self.stream.tap(0, member)
         #: ``(copy, key)`` pairs whose latest version was corrupted or
         #: lost in a fail-over, and not overwritten by a shipment since.
@@ -73,6 +72,9 @@ class Trio:
         #: catalog and the history have folded.
         self.folded = {}
         self.epoch = 0
+
+    def _fold(self, record):
+        self.catalog.apply_commit(0, record)
 
     @property
     def slaves(self):
@@ -173,10 +175,34 @@ class PathSpy:
 def trio():
     trio = Trio()
     trio.write("sub:1", subscriber("1"))
-    # The first modify diffs the LDAP-view snapshot in full; after it the
-    # catalog has folded a raw record and the fast paths can apply.
+    # The first modify refolds the created record's snapshot; after it the
+    # history has a previous version and its fast path can apply too.
     trio.modify("sub:1", {"servingMsc": "msc-2"})
     return trio
+
+
+class TestFirstModifyRefolds:
+    """A created or bulk-loaded key's snapshot was taken from its raw
+    record, so its first MODIFY refolds only the changed attributes."""
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_first_modify_takes_the_refold_path(self, monkeypatch, bulk):
+        trio = Trio()
+        trio.write("sub:1", subscriber("1"))
+        if bulk:
+            trio.catalog = reloaded(trio.master.store)
+        spy = PathSpy(monkeypatch)
+        trio.modify("sub:1", {"homeRegion": "sweden"})
+        assert spy.catalog_full == 0
+        assert postings(trio.catalog) == postings(reloaded(trio.master.store))
+
+    def test_case_variant_record_is_not_kept(self, monkeypatch):
+        trio = Trio()
+        trio.write("sub:1", subscriber("1", HomeRegion="brazil"))
+        spy = PathSpy(monkeypatch)
+        trio.modify("sub:1", {"homeRegion": "sweden"})
+        assert spy.catalog_full == 1
+        assert postings(trio.catalog) == postings(reloaded(trio.master.store))
 
 
 class TestOneVersionPerWrite:
@@ -531,11 +557,15 @@ def _check(trio):
 
 
 @settings(max_examples=150, deadline=None)
-@given(steps=st.lists(STEPS, min_size=1, max_size=12))
-def test_delta_paths_equal_full_recounts(steps):
+@given(steps=st.lists(STEPS, min_size=1, max_size=12), bulk=st.booleans())
+def test_delta_paths_equal_full_recounts(steps, bulk):
     trio = Trio()
     trio.write("sub:1", subscriber("1"))
     trio.write("sub:2", subscriber("2"))
+    if bulk:
+        # The catalog starts from a bulk load of the same records, so each
+        # key's first modify folds onto a bulk-loaded snapshot.
+        trio.catalog = reloaded(trio.master.store)
     for step in steps:
         _run_step(trio, step)
         _check(trio)

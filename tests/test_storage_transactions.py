@@ -80,6 +80,28 @@ class TestBasicTransactions:
         assert updated == {"barred": True}
         assert manager.store.read_committed("sub-1") == {"barred": True}
 
+    def test_modify_of_a_missing_record_with_must_exist(self, manager):
+        tx = manager.begin()
+        with pytest.raises(RecordNotFound):
+            tx.modify("sub-1", {"a": 1}, must_exist=True)
+        assert tx.write_keys == [] and tx.is_active
+        assert tx.modify("sub-1", {"a": 1}) == {"a": 1}
+
+    def test_modify_with_must_exist_reads_the_key_once(self, manager,
+                                                       monkeypatch):
+        seed(manager)
+        tx = manager.begin()
+        reads = []
+        original = type(tx).read
+
+        def read(transaction, key):
+            reads.append(key)
+            return original(transaction, key)
+
+        monkeypatch.setattr(type(tx), "read", read)
+        tx.modify("sub-1", {"barred": True}, must_exist=True)
+        assert reads == ["sub-1"]
+
     def test_modify_non_map_record_rejected(self, manager):
         seed(manager, value="just a string")
         tx = manager.begin()
