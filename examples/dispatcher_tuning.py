@@ -59,7 +59,7 @@ def measure(linger_ticks: int, rate: float):
     def arrivals():
         rng = udr.sim.rng("tuning.arrivals")
         for index in range(OPERATIONS):
-            yield udr.sim.timeout(rng.expovariate(rate))
+            yield from udr.sim.hold(rng.expovariate(rate))
             profile = profiles[index % len(profiles)]
             imsi = profile.identities.imsi
             site = site_of.get(profile.current_region or profile.home_region,

@@ -53,7 +53,7 @@ def measure(interval: float):
     def committer():
         rng = udr.sim.rng("tuning.commits")
         for index in range(COMMITS):
-            yield udr.sim.timeout(rng.expovariate(RATE))
+            yield from udr.sim.hold(rng.expovariate(RATE))
             replica_set = udr.replica_sets[partitions[index % len(partitions)]]
             tx = replica_set.master_copy.transactions.begin()
             tx.write(f"rec:{index}", {"v": index})
@@ -61,7 +61,7 @@ def measure(interval: float):
 
     def sampler():
         while True:
-            yield udr.sim.timeout(0.01)
+            yield from udr.sim.hold(0.01)
             lag_samples.append(sum(channel.lag().records
                                    for channel in udr.channels))
 

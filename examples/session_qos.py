@@ -70,7 +70,7 @@ def run_flooded(flood_qos, label):
     def signalling_arrivals():
         rng = udr.sim.rng("qos.sig")
         for index in range(SIGNALLING_OPS):
-            yield udr.sim.timeout(rng.expovariate(120.0))
+            yield from udr.sim.hold(rng.expovariate(120.0))
             profile = profiles[index % len(profiles)]
             sig_futures.append(
                 sig_session.submit(Read(profile.identities.imsi)))
@@ -78,7 +78,7 @@ def run_flooded(flood_qos, label):
     def flood_arrivals():
         rng = udr.sim.rng("qos.flood")
         for index in range(FLOOD_OPS):
-            yield udr.sim.timeout(rng.expovariate(2000.0))
+            yield from udr.sim.hold(rng.expovariate(2000.0))
             profile = profiles[(index * 5) % len(profiles)]
             flood_futures.append(bulk_session.submit(
                 Write(profile.identities.imsi,

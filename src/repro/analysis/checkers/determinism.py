@@ -4,7 +4,7 @@ Bit-identical replays are the foundation every equivalence harness in this
 repo stands on (batch==sequential, armor-off==raw, ...).
 They hold only if simulation code draws *all* nondeterminism from two
 places: the simulated clock (``sim.engine``) and the named seeded streams
-of ``sim/rng.py``.  Three rules police that:
+of ``sim/rng.py``.  Four rules police that:
 
 ``DET001``
     Wall-clock and real-sleep calls (``time.time``, ``time.perf_counter``,
@@ -27,6 +27,14 @@ of ``sim/rng.py``.  Three rules police that:
     stream: sharing the network-wide pair means a shipping-mode change
     perturbs *operation-path* RNG draws and every seeded experiment
     shifts.
+
+``DET004``
+    A ``yield <expr>.timeout(...)`` statement under ``src/repro/``.  A
+    process waits a fixed time with ``yield from <sim>.hold(...)``, which
+    the kernel can elide without changing the schedule when nothing else
+    is due first; a yielded timeout is always a heap event.  A
+    ``timeout(...)`` composed with ``any_of``/``all_of`` or kept for
+    ``cancel()`` is not yielded directly and is not flagged.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ ENTROPY_MODULES = ("secrets",)
 #: Packages whose ``Network.transfer`` calls must name a stream.
 STREAM_REQUIRED_PACKAGES = {"replication", "cdc"}
 
+#: Files whose fixed waits must go through ``Simulation.hold``.
+HOLD_REQUIRED_PREFIX = "src/repro/"
+
 
 class DeterminismChecker(Checker):
 
@@ -63,12 +74,19 @@ class DeterminismChecker(Checker):
                   "named sim/rng.py stream",
         "DET003": "Network.transfer in a replication/CDC path without the "
                   "dedicated stream= kwarg",
+        "DET004": "yield <sim>.timeout(...) under src/repro/ -- wait with "
+                  "yield from <sim>.hold(...)",
     }
 
     def check(self, module) -> Iterable[Finding]:
         findings: List[Finding] = []
         stream_scope = module.package in STREAM_REQUIRED_PACKAGES
+        hold_scope = module.rel_path.startswith(HOLD_REQUIRED_PREFIX)
         for node in ast.walk(module.tree):
+            if isinstance(node, ast.Yield):
+                if hold_scope:
+                    findings.extend(self._check_fixed_wait(module, node))
+                continue
             if not isinstance(node, ast.Call):
                 continue
             target = module.imports.resolve_call_target(node.func)
@@ -125,3 +143,15 @@ class DeterminismChecker(Checker):
                     "stream= shares the operation-path RNG pair",
             hint='pass stream="replication" (or a dedicated stream name) '
                  'so shipping changes cannot perturb operation draws')
+
+    def _check_fixed_wait(self, module, node: ast.Yield) -> Iterable[Finding]:
+        call = node.value
+        if not (isinstance(call, ast.Call) and
+                isinstance(call.func, ast.Attribute) and
+                call.func.attr == "timeout"):
+            return
+        yield Finding(
+            rule="DET004", path=module.rel_path, line=node.lineno,
+            message="a yielded timeout is always a heap event",
+            hint="wait a fixed time with `yield from <sim>.hold(delay)`, "
+                 "which the kernel elides when nothing is due first")

@@ -101,7 +101,7 @@ class Reconciler:
     def _run(self):
         interval = self.policy.reconcile_interval
         while self._running:
-            yield self.sim.timeout(interval)
+            yield from self.sim.hold(interval)
             if not self._running:
                 return
             yield from self.run_round()
@@ -139,13 +139,13 @@ class Reconciler:
             return
         master_copy = replica_set.copy_on(master_name)
         buckets = self.policy.digest_buckets
-        yield self.sim.timeout(self.policy.digest_time)
+        yield from self.sim.hold(self.policy.digest_time)
         master_digest = digest_store(master_copy.store, buckets)
         for slave_name in replica_set.slave_names():
             if not self.deployment.elements[slave_name].available:
                 continue
             slave_copy = replica_set.copy_on(slave_name)
-            yield self.sim.timeout(self.policy.digest_time)
+            yield from self.sim.hold(self.policy.digest_time)
             slave_digest = digest_store(slave_copy.store, buckets)
             if slave_digest.root == master_digest.root:
                 continue
@@ -186,7 +186,7 @@ class Reconciler:
                     continue
                 confirmed += 1
                 self._count("reconciliation.detected")
-                yield self.sim.timeout(self.policy.repair_time)
+                yield from self.sim.hold(self.policy.repair_time)
                 self._repair_key(index, slave_name, slave_copy, key,
                                  master_version, slave_version)
             if confirmed == 0 and lagged:

@@ -335,7 +335,7 @@ class MembershipPlane:
         interval = self.policy.heartbeat_interval
         try:
             while self._running:
-                yield self.sim.timeout(interval)
+                yield from self.sim.hold(interval)
                 if not self._running:
                     return
                 self.stats.ticks += 1
@@ -483,7 +483,7 @@ class MembershipPlane:
         poll = self.policy.heartbeat_interval / 2.0
         while len(votes) < self.quorum and self.sim.now < deadline and \
                 any(ballot.is_alive for ballot in ballots):
-            yield self.sim.timeout(min(poll, deadline - self.sim.now))
+            yield from self.sim.hold(min(poll, deadline - self.sim.now))
         if len(votes) < self.quorum:
             self.stats.aborted_promotions += 1
             return

@@ -104,7 +104,7 @@ class AvailabilityManager:
                              name=f"repair:{name}")
 
     def _repair_later(self, component: ManagedComponent):
-        yield self.sim.timeout(component.repair_time)
+        yield from self.sim.hold(component.repair_time)
         self.repair_component(component.name)
 
     def repair_component(self, name: str) -> None:

@@ -74,7 +74,7 @@ class ClusterController:
     def _checkpoint_loop(self, element: StorageElement):
         period = self.config.checkpoint_period
         while self.started:
-            yield self.sim.timeout(period)
+            yield from self.sim.hold(period)
             if not element.available:
                 continue
             for copy in element.copies:

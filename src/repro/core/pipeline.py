@@ -239,7 +239,7 @@ class LdapPlanStage(PipelineStage):
                 ctx.failure = failure
             return False
         server = poa.select_server()
-        yield self.sim.timeout(server.service_time())
+        yield from self.sim.hold(server.service_time())
         creates = False
         plan_of = server.plan
         for ctx in group:
@@ -371,7 +371,7 @@ class ReadPath(PipelineStage):
         copy = replica_set.copy_on(copy_element)
         yield from self.element_round_trip(poa, element, "copy unreachable",
                                            ledger=ledger)
-        yield self.sim.timeout(
+        yield from self.sim.hold(
             element.service_times.transaction_time(reads=1, writes=0))
         transaction = copy.transactions.begin()
         try:
@@ -556,8 +556,8 @@ class SearchPath(PipelineStage):
             span, filter_plan.candidates(), after)
         # Resolving the scope and counting its candidates is LDAP-server
         # CPU work.
-        yield self.sim.timeout((span.comparisons + candidates)
-                               * poa.ldap_pool.service_time())
+        yield from self.sim.hold((span.comparisons + candidates)
+                                 * poa.ldap_pool.service_time())
         search_ledger = ledger if ledger is not None else set()
         page_size = plan.page_size
         matches: List[Tuple[str, str, dict]] = []
@@ -598,7 +598,7 @@ class SearchPath(PipelineStage):
                                                ledger=ledger)
         except OperationFailure:
             return None
-        yield self.sim.timeout(
+        yield from self.sim.hold(
             element.service_times.operation_time(reads=1, writes=0))
         record = copy.store.get(entry_id)
         return record if isinstance(record, dict) else None
@@ -630,7 +630,7 @@ class SearchPath(PipelineStage):
                                                              writes=0)
             # One aggregate charge per partition: every record is read and
             # evaluated against the filter.
-            yield self.sim.timeout(len(keys) * (read_time + eval_time))
+            yield from self.sim.hold(len(keys) * (read_time + eval_time))
             for key in keys:
                 view = SubscriberSchema.catalog_view(key, copy.store.get(key))
                 if view is None:
@@ -729,7 +729,7 @@ class WritePath(PipelineStage):
         partition_index, target_name, element, copy = \
             yield from self.write_target(ctx, ledger)
         reads = 1 if plan.kind is PlanKind.UPDATE else 0
-        yield self.sim.timeout(element.service_times.transaction_time(
+        yield from self.sim.hold(element.service_times.transaction_time(
             reads=reads, writes=1,
             synchronous_commit=self.config.synchronous_commit))
 
@@ -767,15 +767,22 @@ class WritePath(PipelineStage):
         partition_index = deployment.primary_partition_of_element[
             ctx.located_element]
         replica_set = deployment.replica_sets[partition_index]
-        try:
-            target_name = deployment.coordinators[partition_index] \
-                .choose_write_element(
-                    self.reachable_members(replica_set, ctx.poa.site),
-                    timestamp=self.sim.now)
-        except MasterUnreachable as error:
-            raise OperationFailure(
-                ResultCode.UNAVAILABLE,
-                f"master unreachable ({error.reason})") from None
+        # The coordinator picks the master whenever it is up and reachable;
+        # only otherwise does the choice need every reachable copy.
+        target_name = replica_set.master_element_name
+        master = None if target_name is None else \
+            replica_set.element(target_name)
+        if master is None or not master.available or \
+                not self.network.reachable(ctx.poa.site, master.site):
+            try:
+                target_name = deployment.coordinators[partition_index] \
+                    .choose_write_element(
+                        self.reachable_members(replica_set, ctx.poa.site),
+                        timestamp=self.sim.now)
+            except MasterUnreachable as error:
+                raise OperationFailure(
+                    ResultCode.UNAVAILABLE,
+                    f"master unreachable ({error.reason})") from None
         element = deployment.elements[target_name]
         copy = replica_set.copy_on(target_name)
         yield from self.element_round_trip(ctx.poa, element,
@@ -1211,7 +1218,7 @@ class RetryStage(PipelineStage):
                                        "deadline expired before retry",
                                        retryable=False)
             batch.increment("batch.retries")
-            yield self.sim.timeout(policy.backoff(attempt))
+            yield from self.sim.hold(policy.backoff(attempt))
             ctx.located_element = None
             ctx.location_resolved = False
             ctx.entries = []
@@ -1381,7 +1388,7 @@ class OperationPipeline:
         if charge_linger and config.batch_linger_ticks and \
                 len(wave) < config.batch_max_size:
             # An under-filled explicit wave lingers for late arrivals.
-            yield self.sim.timeout(
+            yield from self.sim.hold(
                 config.batch_linger_ticks * BATCH_LINGER_TICK)
         defer_unknown = False
         for group in site_groups:
@@ -1507,7 +1514,7 @@ class OperationPipeline:
                 return failure
             group = groups[partition_index] = _CoalescedGroup(*target)
         reads = 1 if plan.kind is PlanKind.UPDATE else 0
-        yield self.sim.timeout(
+        yield from self.sim.hold(
             group.element.service_times.operation_time(reads=reads, writes=1))
         savepoint = group.transaction.savepoint()
         try:
@@ -1591,7 +1598,7 @@ class OperationPipeline:
         and reverses the eager identity bookkeeping: the per-write path
         raises *before* registering a CREATE (or deregistering a DELETE),
         so lookups must not diverge between the two modes."""
-        yield self.sim.timeout(group.element.service_times.commit_charge(
+        yield from self.sim.hold(group.element.service_times.commit_charge(
             self.config.synchronous_commit))
         try:
             record = group.transaction.commit(timestamp=self.sim.now)

@@ -83,7 +83,7 @@ class MapSynchroniser:
             yield from network.transfer(source_site, target_site,
                                         payload_bytes=payload)
             # Serialisation/deserialisation cost on the new stage.
-            yield sim.timeout(len(chunk) * self.per_entry_cpu)
+            yield from sim.hold(len(chunk) * self.per_entry_cpu)
             target.import_entries(chunk)
             target.sync_progress(len(chunk))
             transferred += payload

@@ -103,7 +103,7 @@ def _run_dispatcher(arrival_rate: Optional[float], linger_ticks: int,
     def arrivals():
         rng = udr.sim.rng("e16.arrivals")
         for item in items:
-            yield udr.sim.timeout(rng.expovariate(arrival_rate))
+            yield from udr.sim.hold(rng.expovariate(arrival_rate))
             enqueue(item)
 
     start = udr.sim.now

@@ -105,7 +105,7 @@ def _measure_fanin() -> Dict[str, float]:
     def committer():
         rng = udr.sim.rng("e17.commits")
         for index in range(COMMITS):
-            yield udr.sim.timeout(rng.expovariate(COMMIT_RATE))
+            yield from udr.sim.hold(rng.expovariate(COMMIT_RATE))
             replica_set = udr.replica_sets[partitions[index % len(partitions)]]
             transaction = replica_set.master_copy.transactions.begin()
             transaction.write(f"e17:{index}", {"v": index})
@@ -113,7 +113,7 @@ def _measure_fanin() -> Dict[str, float]:
 
     def sampler():
         while True:
-            yield udr.sim.timeout(SAMPLE_PERIOD)
+            yield from udr.sim.hold(SAMPLE_PERIOD)
             lag_samples.append(sum(channel.lag().records
                                    for channel in udr.channels))
 
@@ -166,7 +166,7 @@ def _run_sweep_point(arrival_rate: float, linger_ticks: int,
     def arrivals():
         rng = udr.sim.rng("e17.arrivals")
         for item in items:
-            yield udr.sim.timeout(rng.expovariate(arrival_rate))
+            yield from udr.sim.hold(rng.expovariate(arrival_rate))
             futures.append(pool.submit(
                 item.request, item.client_type, item.client_site,
                 qos=QoSProfile(priority=item.priority)))

@@ -123,7 +123,7 @@ def _arrivals(udr, stream: str, rate: float, pairs, submit, out: list):
     """Generator: Poisson arrivals of ``pairs`` through ``submit``."""
     rng = udr.sim.rng(stream)
     for operation, site in pairs:
-        yield udr.sim.timeout(rng.expovariate(rate))
+        yield from udr.sim.hold(rng.expovariate(rate))
         out.append(submit(operation, site))
 
 

@@ -96,7 +96,7 @@ def _workload(udr, profiles, operations: int):
 def _arrivals(udr, stream: str, rate: float, pairs, submit, out: list):
     rng = udr.sim.rng(stream)
     for operation, site in pairs:
-        yield udr.sim.timeout(rng.expovariate(rate))
+        yield from udr.sim.hold(rng.expovariate(rate))
         out.append(submit(operation, site))
 
 
@@ -119,7 +119,7 @@ def _skip_apply_later(udr, corruption: SilentCorruption, key: str,
                       reports: list):
     """Open a shipment window on the reserved record, then swallow it."""
     sim = udr.sim
-    yield sim.timeout(corruption.at - sim.now)
+    yield from sim.hold(corruption.at - sim.now)
     replica_set = udr.replica_sets[corruption.partition_index]
     copy = replica_set.copy_on(replica_set.master_element_name)
     tx = copy.transactions.begin()

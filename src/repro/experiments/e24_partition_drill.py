@@ -105,7 +105,7 @@ def _arrivals(udr, sessions, pairs, out: list):
     rng = udr.sim.rng("e24.sig")
     sites = list(udr.topology.sites)
     for index, operation in enumerate(pairs):
-        yield udr.sim.timeout(rng.expovariate(SIGNALLING_RATE))
+        yield from udr.sim.hold(rng.expovariate(SIGNALLING_RATE))
         out.append(sessions[sites[index % len(sites)]].submit(operation))
 
 
@@ -125,12 +125,12 @@ def _probe_loop(udr, session, imsi: str, scenario: str, until: float,
         response = yield from session.call(request)
         log.append((issued, udr.sim.now, response.ok))
         count += 1
-        yield udr.sim.timeout(PROBE_INTERVAL)
+        yield from udr.sim.hold(PROBE_INTERVAL)
 
 
 def _fault_process(udr, scenario: str, master: str, master_site,
                    fault_at: float, heal_at: float):
-    yield udr.sim.timeout(fault_at - udr.sim.now)
+    yield from udr.sim.hold(fault_at - udr.sim.now)
     partition = None
     if scenario == "crash":
         udr.crash_element(master)
@@ -142,7 +142,7 @@ def _fault_process(udr, scenario: str, master: str, master_site,
         partition = NetworkPartition.one_way(
             master_site, name=f"e24-oneway-{master_site.name}")
         udr.network.apply_partition(partition)
-    yield udr.sim.timeout(heal_at - udr.sim.now)
+    yield from udr.sim.hold(heal_at - udr.sim.now)
     if scenario == "crash":
         udr.recover_element(master)
     else:

@@ -152,7 +152,7 @@ class InvariantChecker:
     def _sweep(self):
         try:
             while self._running:
-                yield self.udr.sim.timeout(self.check_interval)
+                yield from self.udr.sim.hold(self.check_interval)
                 if not self._running:
                     return
                 self.check_now()
@@ -460,7 +460,7 @@ class ChaosCampaign:
     def _crash_later(self, at: float, element_name: str, repair: float):
         sim = self.udr.sim
         if at > sim.now:
-            yield sim.timeout(at - sim.now)
+            yield from sim.hold(at - sim.now)
         element = self.udr.elements.get(element_name)
         if element is None or not element.available:
             return

@@ -163,16 +163,16 @@ class FaultInjector:
     def _run_partition(self, incident: PartitionIncident):
         sim = self.udr.sim
         if incident.start > sim.now:
-            yield sim.timeout(incident.start - sim.now)
+            yield from sim.hold(incident.start - sim.now)
         self.udr.network.apply_partition(incident.partition)
         self.partitions_applied += 1
-        yield sim.timeout(incident.duration)
+        yield from sim.hold(incident.duration)
         self.udr.network.heal_partition(incident.partition)
 
     def _run_disaster(self, disaster: SiteDisaster):
         sim = self.udr.sim
         if disaster.start > sim.now:
-            yield sim.timeout(disaster.start - sim.now)
+            yield from sim.hold(disaster.start - sim.now)
         site = self.udr.topology.site(disaster.site_name)
         self.udr.network.fail_site(site)
         for poa in self.udr.points_of_access:
@@ -183,7 +183,7 @@ class FaultInjector:
         for name in affected_elements:
             self.udr.crash_element(name, auto_repair=False)
         self.disasters_applied += 1
-        yield sim.timeout(disaster.duration)
+        yield from sim.hold(disaster.duration)
         self.udr.network.restore_site(site)
         for poa in self.udr.points_of_access:
             if poa.site == site:
@@ -205,13 +205,13 @@ class FaultInjector:
         """
         sim = self.udr.sim
         if corruption.at > sim.now:
-            yield sim.timeout(corruption.at - sim.now)
+            yield from sim.hold(corruption.at - sim.now)
         rng = sim.rng("faults.corruption")
         report = apply_corruption(self.udr, corruption, rng)
         attempts = 1
         while not report.applied and corruption.kind == "skip_apply" and \
                 attempts < max_attempts:
-            yield sim.timeout(self.udr.config.replication_interval)
+            yield from sim.hold(self.udr.config.replication_interval)
             report = apply_corruption(self.udr, corruption, rng)
             attempts += 1
         if report.applied:
@@ -256,7 +256,7 @@ class FaultInjector:
                      mttr: float, fail_over: bool):
         sim = self.udr.sim
         if crash_time > sim.now:
-            yield sim.timeout(crash_time - sim.now)
+            yield from sim.hold(crash_time - sim.now)
         element = self.udr.elements[element_name]
         if not element.available:
             return

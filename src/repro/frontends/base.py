@@ -121,7 +121,7 @@ class ApplicationFrontEnd:
         rng = rng or self.udr.sim.rng(f"fe.{self.name}")
         end_time = self.udr.sim.now + duration
         while self.udr.sim.now < end_time:
-            yield self.udr.sim.timeout(rng.expovariate(rate_per_second))
+            yield from self.udr.sim.hold(rng.expovariate(rate_per_second))
             if self.udr.sim.now >= end_time:
                 break
             subscriber = rng.choice(subscribers)

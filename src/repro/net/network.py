@@ -262,11 +262,11 @@ class Network:
         if profile.loss_probability and \
                 loss_rng.random() < profile.loss_probability:
             self.stats.losses += 1
-            yield self.sim.timeout(profile.timeout)
+            yield from self.sim.hold(profile.timeout)
             raise NetworkTimeoutError(source, destination, profile.timeout)
         latency = profile.latency.sample(latency_rng) * \
             self._latency_factors[link]
-        yield self.sim.timeout(latency)
+        yield from self.sim.hold(latency)
 
     def round_trip(self, source: Site, destination: Site,
                    request_bytes: int = 512, response_bytes: int = 512):

@@ -109,7 +109,7 @@ class BatchRun:
             if aborted:
                 break
             if self.pacing:
-                yield sim.timeout(self.pacing)
+                yield from sim.hold(self.pacing)
         return BatchReport(
             total_operations=len(self.operations),
             succeeded=succeeded,

@@ -95,7 +95,7 @@ class ProvisioningSystem:
             outcome.failed_request_index = failed_index
             outcome.partially_applied = applied_any and failed_index is not None
             if attempts <= self.max_retries:
-                yield self.udr.sim.timeout(self.retry_delay)
+                yield from self.udr.sim.hold(self.retry_delay)
         outcome.latency = self.udr.sim.now - start
         self._account(outcome)
         return outcome
@@ -189,7 +189,7 @@ class ProvisioningSystem:
             if not failed or attempts > self.max_retries:
                 break
             pending = failed
-            yield self.udr.sim.timeout(self.retry_delay)
+            yield from self.udr.sim.hold(self.retry_delay)
         for index, _operation in segment:
             _, response = results[index]
             operation = operations[index]
@@ -243,7 +243,7 @@ class ProvisioningSystem:
 
         def arrivals(sim):
             for operation in operations:
-                yield sim.timeout(rng.expovariate(rate_per_second))
+                yield from sim.hold(rng.expovariate(rate_per_second))
                 self.backlog.arrive(sim.now)
                 pending.append(operation)
 
@@ -259,7 +259,7 @@ class ProvisioningSystem:
             elif arrival_process.triggered and not pending:
                 break
             else:
-                yield sim.timeout(poll_interval)
+                yield from sim.hold(poll_interval)
         return completed
 
     # -- reporting -------------------------------------------------------------------------

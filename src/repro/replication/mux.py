@@ -240,7 +240,7 @@ class ReplicationMux:
         # land while a round's transfer is in flight never spawn an
         # overlapping round re-shipping the same in-flight records; the
         # backlog check at the end picks them up instead.
-        yield self.sim.timeout(delay)
+        yield from self.sim.hold(delay)
         if generation != self._generation:
             return
         self.wakeups += 1

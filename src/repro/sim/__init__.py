@@ -14,7 +14,7 @@ Typical usage::
     sim = Simulation(seed=7)
 
     def worker(sim, results):
-        yield sim.timeout(1.5)
+        yield from sim.hold(1.5)
         results.append(sim.now)
 
     results = []

@@ -4,6 +4,14 @@ The engine processes events in ``(time, sequence)`` order -- events due at
 the same instant run in the order they were scheduled -- so results are
 fully deterministic for a given seed and program.  Processes are
 created with :meth:`Simulation.process` and advance by yielding events.
+
+A process waits a fixed time with ``yield from sim.hold(delay)``.  When
+that wait's timeout would be the very next event a running
+:meth:`~Simulation.run` / :meth:`~Simulation.run_until_triggered` loop
+pops, and nothing else can run before it, :meth:`~Simulation.hold` moves
+the clock in place and the process keeps running: the same schedule,
+without the event.  ``sim.events`` (the calls of :meth:`~Simulation.step`)
+therefore counts only the hops that other events could have overtaken.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.rng import RandomStreams
 
 
@@ -37,6 +45,14 @@ class Simulation:
         #: they dominate, :meth:`_prune_cancelled` compacts the heap in one
         #: pass instead of waiting for each to reach the top.
         self._cancelled_scheduled = 0
+        #: The latest time the running loop pops events up to (``until``
+        #: or ``limit``), ``-inf`` outside :meth:`run` and
+        #: :meth:`run_until_triggered`; the event such a loop waits for
+        #: (``None`` for :meth:`run`); and whether the current step
+        #: resumes exactly one callback.  :meth:`hold` reads all three.
+        self._horizon = float("-inf")
+        self._awaited: Optional[Event] = None
+        self._solo = False
         self.streams = RandomStreams(seed)
         self.seed = seed
 
@@ -68,6 +84,41 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers after ``delay`` virtual seconds."""
         return Timeout(self, delay, value=value)
+
+    def hold(self, delay: float) -> tuple:
+        """Wait ``delay`` virtual seconds: ``yield from sim.hold(delay)``.
+
+        The one way a process waits for a fixed time (:meth:`timeout`
+        stays for waits that are composed with ``any_of``/``all_of`` or
+        cancelled).  When the wait's timeout would be exactly the next
+        event the running loop pops, the clock moves here and the
+        process keeps running, so the hop costs no event.  That holds
+        only when all of these do:
+
+        1. a :meth:`run` / :meth:`run_until_triggered` loop is active
+           (a bare :meth:`step` caller sees every hop as an event);
+        2. ``now + delay`` is within that loop's ``until`` / ``limit``;
+        3. the event :meth:`run_until_triggered` waits for has not
+           triggered (the loop would stop before the timeout);
+        4. the heap is empty or its top is due strictly after
+           ``now + delay`` (on a tie the queued entry runs first);
+        5. the current step resumed exactly one callback (the others
+           would still run at the current time).
+
+        The clock then reads the same float sum the heap key would
+        have held, and the elided hop takes no sequence number, which
+        keeps the relative order of every later event.  Otherwise the
+        wait is a :class:`Timeout`, returned in a tuple so ``yield
+        from`` needs no generator frame.
+        """
+        when = self.now + delay
+        queue = self._queue
+        if self._solo and (not queue or queue[0][0] > when) and \
+                when <= self._horizon and delay >= 0 and \
+                (self._awaited is None or self._awaited._status is _PENDING):
+            self.now = when
+            return ()
+        return (Timeout(self, delay),)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from a generator and return it."""
@@ -130,7 +181,9 @@ class Simulation:
 
         This is the one per-event entry point: :meth:`run` and
         :meth:`run_until_triggered` dispatch every event through it, and
-        the benchmark's tracer counts its calls as ``sim.events``.
+        the benchmark's tracer counts its calls as ``sim.events``.  It
+        notes whether the event resumes a single callback, which
+        :meth:`hold` needs to know.
 
         Raises
         ------
@@ -142,6 +195,7 @@ class Simulation:
             self._prune_cancelled()
         when, _seq, event = heappop(queue)
         self.now = when
+        self._solo = len(event.callbacks) == 1
         event._process()
 
     def run(self, until: Optional[float] = None) -> float:
@@ -156,14 +210,20 @@ class Simulation:
             raise ValueError(f"cannot run to {until}: simulation time is "
                              f"already {self.now}")
         queue = self._queue
-        while queue:
-            if self._cancelled_scheduled or queue[0][2].cancelled:
-                self._prune_cancelled()
-                if not queue:
+        outer = self._horizon, self._awaited
+        self._horizon = float("inf") if until is None else until
+        self._awaited = None
+        try:
+            while queue:
+                if self._cancelled_scheduled or queue[0][2].cancelled:
+                    self._prune_cancelled()
+                    if not queue:
+                        break
+                if until is not None and queue[0][0] > until:
                     break
-            if until is not None and queue[0][0] > until:
-                break
-            self.step()
+                self.step()
+        finally:
+            self._horizon, self._awaited = outer
         if until is not None:
             self.now = max(self.now, until)
         return self.now
@@ -187,14 +247,19 @@ class Simulation:
             raise ValueError(f"cannot run to {limit}: simulation time is "
                              f"already {self.now}")
         queue = self._queue
-        while not event.triggered and queue:
-            if self._cancelled_scheduled or queue[0][2].cancelled:
-                self._prune_cancelled()
-                if not queue:
+        outer = self._horizon, self._awaited
+        self._horizon, self._awaited = deadline, event
+        try:
+            while not event.triggered and queue:
+                if self._cancelled_scheduled or queue[0][2].cancelled:
+                    self._prune_cancelled()
+                    if not queue:
+                        break
+                if queue[0][0] > deadline:
                     break
-            if queue[0][0] > deadline:
-                break
-            self.step()
+                self.step()
+        finally:
+            self._horizon, self._awaited = outer
         return self.now
 
     def __repr__(self) -> str:

@@ -11,10 +11,11 @@ event's value (or the event's exception is thrown into it).  A process is
 itself an event that triggers when its generator finishes, which is what makes
 ``yield sim.process(...)`` composition work.
 
-Every simulated hop is one event, so the per-event path is kept lean: the
-classes are slotted, default labels are formatted only by ``repr``, and hot
-state checks compare ``_status`` with the module aliases below instead of
-going through the ``triggered``/``processed`` properties.
+Every simulated hop that another event could overtake is one event (see
+``Simulation.hold`` for the ones that are not), so the per-event path is
+kept lean: the classes are slotted, default labels are formatted only by
+``repr``, and hot state checks compare ``_status`` with the module aliases
+below instead of going through the ``triggered``/``processed`` properties.
 """
 
 from __future__ import annotations

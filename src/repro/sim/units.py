@@ -1,7 +1,7 @@
 """Time and size units used throughout the simulation.
 
 Virtual time is measured in **seconds** (floats).  These constants make the
-intent of durations explicit at call sites, e.g. ``sim.timeout(5 * MINUTE)``
+intent of durations explicit at call sites, e.g. ``sim.hold(5 * MINUTE)``
 or a checkpoint period of ``15 * MINUTE``.
 
 Data sizes are measured in **bytes**; the paper reasons in gigabytes of RAM

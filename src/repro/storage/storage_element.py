@@ -281,7 +281,8 @@ class StorageElement:
 
     def subscriber_count(self) -> int:
         """Live records in the primary copies (each subscriber is one record)."""
-        return sum(len(copy.store) for copy in self.primary_copies)
+        return sum(len(copy.store) for copy in self._copies.values()
+                   if copy.is_primary)
 
     def has_capacity_for(self, additional_subscribers: int = 1) -> bool:
         return (self.subscriber_count() + additional_subscribers

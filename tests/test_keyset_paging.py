@@ -121,7 +121,8 @@ class _StubPath(SearchPath):
 
     def __init__(self, world):
         self.world = world
-        self.sim = SimpleNamespace(timeout=lambda delay: ("charge", delay))
+        self.sim = SimpleNamespace(timeout=lambda delay: ("charge", delay),
+                                   hold=lambda delay: (("charge", delay),))
         self.config = SimpleNamespace(search_index_enabled=True)
         self.pipeline = SimpleNamespace(batch=SimpleNamespace(
             record_read=lambda *args, **kwargs: None))

@@ -58,7 +58,7 @@ def rules_of(findings):
 
 
 # ---------------------------------------------------------------------------
-# determinism (DET001/DET002/DET003)
+# determinism (DET001/DET002/DET003/DET004)
 # ---------------------------------------------------------------------------
 
 class TestDeterminismChecker:
@@ -118,6 +118,13 @@ class TestDeterminismChecker:
             rel_path="src/repro/replication/snippet.py")
         assert rules_of(findings) == ["DET003"]
 
+    def test_yielded_timeout_should_hold(self, tmp_path):
+        findings = self.run(tmp_path,
+                            "def wait(self):\n"
+                            "    yield self.sim.timeout(1.0)\n"
+                            "    value = yield sim.timeout(2.0)\n")
+        assert rules_of(findings) == ["DET004", "DET004"]
+
     def test_transfer_without_stream_in_cdc(self, tmp_path):
         findings = self.run(
             tmp_path,
@@ -144,8 +151,24 @@ class TestDeterminismChecker:
     def test_sim_clock_is_clean(self, tmp_path):
         findings = self.run(tmp_path,
                             "def wait(sim):\n"
-                            "    yield sim.timeout(1.0)\n"
+                            "    yield from sim.hold(1.0)\n"
                             "    return sim.now\n")
+        assert findings == []
+
+    def test_composed_or_cancellable_timeout_is_clean(self, tmp_path):
+        findings = self.run(tmp_path,
+                            "def race(self, wake):\n"
+                            "    self.deadline = self.sim.timeout(2.0)\n"
+                            "    yield self.sim.any_of([self.deadline, "
+                            "wake])\n"
+                            "    self.deadline.cancel()\n")
+        assert findings == []
+
+    def test_yielded_timeout_outside_the_package_is_clean(self, tmp_path):
+        findings = self.run(tmp_path,
+                            "def wait(sim):\n"
+                            "    yield sim.timeout(1.0)\n",
+                            rel_path="tests/snippet.py")
         assert findings == []
 
     def test_transfer_with_stream_is_clean(self, tmp_path):
