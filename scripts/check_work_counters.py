@@ -11,7 +11,8 @@ Runs ``python3 perfbench/run.py --workload W --seed 3 --seconds 2
 --trace 1`` for every workload named in ``BENCHMARK.json`` and compares the
 counters in :data:`COUNTERS` with ``scripts/work_counters.json``.  These
 counters are simulation facts -- result digest, operations, sim events,
-transfers, commits, WAL appends, waves and per-op work counts -- so they
+transfers, commits, WAL appends, waves, per-op work counts and the
+set-up's capacity scans (``storage.subscriber_count.calls``) -- so they
 repeat exactly on any machine; wall-clock metrics are not compared.  Any
 difference fails.  ``--workload NAME`` (repeatable) measures and compares
 only the named workloads, for a quick local check; ``--write`` always
@@ -41,6 +42,7 @@ COUNTERS = (
     "ldap.dn.constructions",
     "storage.record_size.calls",
     "metrics.calls",
+    "storage.subscriber_count.calls",
 )
 
 

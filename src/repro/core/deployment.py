@@ -17,7 +17,7 @@ tier, the storage elements the back tier, and the request pipeline
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import PointOfAccess
 from repro.cluster.blade_cluster import BladeCluster, ClusterLimits
@@ -183,6 +183,13 @@ class Deployment:
         elif serving_locator is not None:
             serving_locator.register(identities, element_name)
 
+    def register_many(self, entries: Sequence[Tuple[str, str, str]],
+                      subscriptions: int) -> None:
+        """Register ``subscriptions`` subscriptions with every locator at
+        once: their ``(identity_type, value, element)`` entries, in order."""
+        for locator in self.locators.values():
+            locator.register_many(entries, subscriptions)
+
     def deregister_identities(self, identities: Mapping[str, str]) -> None:
         for locator in self.locators.values():
             locator.deregister(identities)
@@ -194,13 +201,18 @@ class Deployment:
         if self.config.location_mode is LocationMode.CONSISTENT_HASH:
             locator = next(iter(self.locators.values()))
             return locator.locate("imsi", imsi)
-        candidates = [
+        return self.placement_policy.choose(profile_like,
+                                            self.placement_candidates())
+
+    def placement_candidates(self) -> List[PlacementCandidate]:
+        """Every element, in order, flagged with whether it has room for
+        one more subscription: what the placement policy chooses from."""
+        return [
             PlacementCandidate(
                 element_name=element.name,
                 region=element.site.region.name,
                 has_capacity=element.has_capacity_for(1))
             for element in self.elements.values()]
-        return self.placement_policy.choose(profile_like, candidates)
 
     def __repr__(self) -> str:
         return (f"<Deployment {self.config.name!r} "

@@ -38,7 +38,8 @@ from repro.net.topology import Site
 from repro.replication.restoration import RestorationReport
 from repro.sim.engine import Simulation
 from repro.storage.storage_element import StorageElement
-from repro.core.config import ClientType, DispatchMode, UDRConfig
+from repro.core.config import (ClientType, DispatchMode, LocationMode,
+                               UDRConfig)
 from repro.core.deployment import Deployment, DeploymentBuilder
 from repro.core.dispatcher import BatchDispatcher
 from repro.core.lifecycle import ClusterController
@@ -148,25 +149,62 @@ class UDRNetworkFunction:
     def load_subscriber_base(self, profiles) -> int:
         """Install an initial subscriber base without simulating traffic.
 
-        Each profile is written to its chosen element's primary copy and to
-        every secondary copy (so the deployment starts consistent), and its
-        identities are registered with every data-location stage instance.
-        Returns the number of profiles loaded.
+        Each profile is committed on its chosen element's primary copy and
+        applied to every secondary copy (so the deployment starts
+        consistent), one record at a time through the copy's
+        :class:`~repro.storage.transactions.TransactionManager`, exactly as
+        a provisioning CREATE commits; the logs, CDC and replication see
+        the same commits either way.  What each call does once instead of
+        once per profile:
+
+        * placement builds the candidate list once and, after each commit,
+          re-counts only the element holding the written master copy (the
+          one count that moved); consistent hashing still locates each
+          profile;
+        * the catalog folds the call's commits on exit
+          (:meth:`~repro.directory.dit.DirectoryCatalog.deferred`): one
+          DIT labelling pass for the new keys;
+        * the identities are registered with each locator in one
+          :meth:`~repro.directory.locator.Locator.register_many`.
+
+        If a profile fails (say, no element has capacity left), the
+        profiles committed before it are still folded and registered, and
+        the error propagates.  Returns the number of profiles loaded.
         """
         deployment = self.deployment
+        hashed = self.config.location_mode is LocationMode.CONSISTENT_HASH
+        candidates = [] if hashed else deployment.placement_candidates()
+        by_element = {candidate.element_name: candidate
+                      for candidate in candidates}
+        choose = deployment.placement_policy.choose
+        entries: List[Tuple[str, str, str]] = []
         loaded = 0
-        for profile in profiles:
-            element_name = deployment.place_subscriber(
-                profile, profile.identities.imsi)
-            replica_set = deployment.replica_set_of_element(element_name)
-            record = self._commit_on_copy(replica_set.master_copy,
-                                          profile.key, profile.to_record())
-            for slave_name in replica_set.slave_names():
-                replica_set.copy_on(slave_name).transactions.apply_log_record(
-                    record)
-            deployment.register_identities(profile.identities.as_mapping(),
-                                           element_name, all_locators=True)
-            loaded += 1
+        with deployment.catalog.deferred():
+            try:
+                for profile in profiles:
+                    element_name = (
+                        deployment.place_subscriber(
+                            profile, profile.identities.imsi) if hashed
+                        else choose(profile, candidates))
+                    replica_set = deployment.replica_set_of_element(
+                        element_name)
+                    record = self._commit_on_copy(replica_set.master_copy,
+                                                  profile.key,
+                                                  profile.to_record())
+                    for slave_name in replica_set.slave_names():
+                        replica_set.copy_on(
+                            slave_name).transactions.apply_log_record(record)
+                    if not hashed:
+                        master = replica_set.master_storage_element
+                        by_element[master.name].has_capacity = \
+                            master.has_capacity_for(1)
+                    entries.extend(
+                        (identity_type, value, element_name)
+                        for identity_type, value
+                        in profile.identities.as_mapping().items())
+                    loaded += 1
+            finally:
+                deployment.register_many(entries, loaded)
         self.subscribers_loaded += loaded
         return loaded
 

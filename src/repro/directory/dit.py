@@ -31,9 +31,9 @@ the commit hook instead of rebuilding anything.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
+from contextlib import contextmanager
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple)
+                    Optional, Set, Tuple)
 
 from repro.directory.indexes import AttributeIndexSet
 from repro.ldap.dn import DistinguishedName
@@ -348,6 +348,9 @@ class DirectoryCatalog:
         self._listing: List[Tuple[str, str]] = []
         #: The entries' DNs, parallel to ``_listing``.
         self._listed_dns: List[DistinguishedName] = []
+        #: ``(partition_index, record)`` commits staged by :meth:`deferred`
+        #: (``None`` outside such a block).
+        self._staged: Optional[List[Tuple[int, Any]]] = None
         self._metrics = None
         self._reported_relabels = 0
 
@@ -390,13 +393,67 @@ class DirectoryCatalog:
     # -- maintenance -----------------------------------------------------------------
 
     def apply_commit(self, partition_index: int, record) -> None:
-        """Fold one WAL commit record into the catalog (the commit hook)."""
+        """Fold one WAL commit record into the catalog (the commit hook);
+        inside :meth:`deferred`, stage it for the block's exit instead."""
+        if self._staged is not None:
+            self._staged.append((partition_index, record))
+            return
         for version in record.operations:
-            if version.value is TOMBSTONE:
-                self.remove(version.key)
-            else:
-                self.upsert(version.key, version.value, partition_index,
-                            version.base, version.changed)
+            self._fold(partition_index, version)
+        self._flush_relabels()
+
+    def _fold(self, partition_index: int, version) -> None:
+        if version.value is TOMBSTONE:
+            self.remove(version.key)
+        else:
+            self.upsert(version.key, version.value, partition_index,
+                        version.base, version.changed)
+
+    @contextmanager
+    def deferred(self) -> Iterator[None]:
+        """Stage the commits applied inside the block and fold them, in
+        commit order, when it exits -- also when it exits by an exception.
+
+        The leading run of creates of keys that are new to the catalog and
+        distinct from each other is labelled in one pass
+        (:meth:`_create_many`); every later write folds through
+        :meth:`upsert` / :meth:`remove` as :meth:`apply_commit` would have.
+        Scope sizes and comparisons, the listing, the postings and every
+        entry end as the one-by-one fold leaves them; only the DIT labels
+        (and the relabel count) differ.  A nested block defers to the
+        outermost one.
+        """
+        if self._staged is not None:
+            yield
+            return
+        staged = self._staged = []
+        try:
+            yield
+        finally:
+            self._staged = None
+            self._fold_staged(staged)
+
+    def _fold_staged(self, staged: List[Tuple[int, Any]]) -> None:
+        versions = ((partition_index, version)
+                    for partition_index, record in staged
+                    for version in record.operations)
+        entries = self._entries
+        created: List[Tuple[str, Any, int]] = []
+        seen: Set[str] = set()
+        pending = None
+        for partition_index, version in versions:
+            key = version.key
+            if version.value is TOMBSTONE or key in entries or key in seen:
+                pending = partition_index, version
+                break
+            seen.add(key)
+            created.append((key, version.value, partition_index))
+        self._create_many(created)
+        if pending is not None:
+            # ``versions`` resumes after the write that ended the run.
+            self._fold(*pending)
+            for partition_index, version in versions:
+                self._fold(partition_index, version)
         self._flush_relabels()
 
     def upsert(self, key: str, value: Any, partition_index: int,
@@ -480,21 +537,55 @@ class DirectoryCatalog:
 
     def bulk_load(self, items: Iterable[Tuple[str, Any, int]]) -> None:
         """Load ``(key, value, partition_index)`` records in one labelling
-        pass -- the initial-base fast path (incremental inserts afterwards)."""
+        pass -- the initial-base fast path (incremental inserts afterwards).
+
+        A key the catalog already holds, or one repeated within ``items``,
+        folds through :meth:`upsert` after the pass, in order, so its old
+        postings are withdrawn.
+        """
+        entries = self._entries
+        created: List[Tuple[str, Any, int]] = []
+        seen: Set[str] = set()
+        updates: List[Tuple[str, Any, int]] = []
+        for item in items:
+            key = item[0]
+            if key in entries or key in seen:
+                updates.append(item)
+            else:
+                seen.add(key)
+                created.append(item)
+        self._create_many(created)
+        for key, value, partition_index in updates:
+            self.upsert(key, value, partition_index)
+        self._flush_relabels()
+
+    def _create_many(self, items: List[Tuple[str, Any, int]]) -> None:
+        """Create the entries of distinct keys the catalog does not hold:
+        one DIT labelling pass, and the listing merged once."""
         staged: List[Tuple[DistinguishedName, str]] = []
+        pairs: List[Tuple[str, str]] = []
         for key, value, partition_index in items:
             view = self.entry_view(key, value)
             if view is None:
                 continue
             dn, ldap_entry = view
-            self._new_entry(key, value, dn, ldap_entry, partition_index)
+            entry = self._new_entry(key, value, dn, ldap_entry,
+                                    partition_index)
             staged.append((dn, key))
+            pairs.append((entry.sort_key, key))
+        if not staged:
+            return
         self.dit.bulk_load(staged)
-        listed = sorted(self._entries.values(),
-                        key=attrgetter("sort_key", "entry_id"))
-        self._listing = [(entry.sort_key, entry.entry_id) for entry in listed]
-        self._listed_dns = [entry.dn for entry in listed]
-        self._flush_relabels()
+        pairs.sort()
+        listing, entries = self._listing, self._entries
+        if listing and pairs[0] < listing[-1]:
+            # Two sorted runs: the sort merges them in linear time.
+            listing.extend(pairs)
+            listing.sort()
+            self._listed_dns = [entries[key].dn for _, key in listing]
+        else:
+            listing.extend(pairs)
+            self._listed_dns.extend(entries[key].dn for _, key in pairs)
 
     # -- scope resolution ---------------------------------------------------------------
 

@@ -12,6 +12,7 @@ directly rather than by wall-clock proxy.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.directory.errors import UnknownIdentity
@@ -45,15 +46,21 @@ class IdentityLocationMap:
             del self._keys[index]
 
     def bulk_load(self, entries: Iterable[Tuple[str, str]]) -> None:
-        """Load many entries at once (initial sync of a new location stage).
+        """Load many entries at once (initial sync of a new location stage,
+        or one call's worth of a subscriber-base load).
 
         ``dict.update`` consumes the pairs in C instead of a per-entry
-        Python loop -- same O(N) stores plus one O(N log N) sort, but
-        without the interpreter overhead per entry.  This is the hot path
-        of locator synchronisation and of the E10 population build.
+        Python loop.  The identities it added are the dict's tail, in
+        insertion order; appended to the sorted keys, they sort in
+        O(M log M) for M new keys and merge with the N old ones in O(N).
+        This is the hot path of locator synchronisation, of loading and of
+        the E10 population build.
         """
+        known = len(self._locations)
         self._locations.update(entries)
-        self._keys = sorted(self._locations)
+        if len(self._locations) > known:
+            self._keys.extend(islice(self._locations, known, None))
+            self._keys.sort()
 
     # -- lookup ---------------------------------------------------------------------
 

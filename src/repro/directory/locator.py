@@ -16,7 +16,7 @@ by configuration and the experiments can compare the consequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.directory.consistent_hash import ConsistentHashRing
 from repro.directory.errors import LocatorSyncInProgress, UnknownIdentity
@@ -55,6 +55,14 @@ class Locator:
 
     def register(self, identities: Mapping[str, str], location: str) -> None:
         """Record a (new) subscription's location."""
+        raise NotImplementedError
+
+    def register_many(self, entries: Sequence[Tuple[str, str, str]],
+                      subscriptions: int) -> None:
+        """Record ``subscriptions`` subscriptions' locations at once, as
+        ``(identity_type, value, location)`` entries in registration order
+        (loading a subscriber base); the same as :meth:`register` per
+        subscription."""
         raise NotImplementedError
 
     def deregister(self, identities: Mapping[str, str]) -> None:
@@ -112,6 +120,11 @@ class ProvisionedLocator(Locator):
     def register(self, identities: Mapping[str, str], location: str) -> None:
         self.stats.registrations += 1
         self.directory.register(identities, location)
+
+    def register_many(self, entries: Sequence[Tuple[str, str, str]],
+                      subscriptions: int) -> None:
+        self.stats.registrations += subscriptions
+        self.directory.bulk_load(entries)
 
     def deregister(self, identities: Mapping[str, str]) -> None:
         self.directory.deregister(identities)
@@ -173,6 +186,11 @@ class CachedLocator(Locator):
         self.stats.registrations += 1
         self.cache.register(identities, location)
 
+    def register_many(self, entries: Sequence[Tuple[str, str, str]],
+                      subscriptions: int) -> None:
+        self.stats.registrations += subscriptions
+        self.cache.bulk_load(entries)
+
     def deregister(self, identities: Mapping[str, str]) -> None:
         self.cache.deregister(identities)
 
@@ -223,6 +241,10 @@ class ConsistentHashLocator(Locator):
     def register(self, identities: Mapping[str, str], location: str) -> None:
         # Hashing dictates placement; an explicit location cannot be honoured.
         self.stats.registrations += 1
+
+    def register_many(self, entries: Sequence[Tuple[str, str, str]],
+                      subscriptions: int) -> None:
+        self.stats.registrations += subscriptions
 
     def deregister(self, identities: Mapping[str, str]) -> None:
         return None

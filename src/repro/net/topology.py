@@ -12,30 +12,65 @@ losses and partitions live in :class:`repro.net.network.Network`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
-    """A geographic region (typically a country) of the operator's footprint."""
+    """A geographic region (typically a country) of the operator's footprint.
+
+    Equal by name.  Regions are compared and hashed on every reachability
+    test and Site-keyed lookup, so equality tries identity first and the
+    hash is computed once, at construction.
+    """
 
     name: str
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Region:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Site:
     """A data-centre site inside a region.
 
     Sites are the unit of reachability: a network partition separates groups
-    of sites, and a disaster destroys one site.
+    of sites, and a disaster destroys one site.  Equal by name and region,
+    with the same identity-first equality and cached hash as
+    :class:`Region`.
     """
 
     name: str
     region: Region
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.region)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Site:
+            return NotImplemented
+        return self.name == other.name and self.region == other.region
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.region.name}/{self.name}"
