@@ -1,15 +1,13 @@
 """Per-session quality-of-service: priority, retries and deadlines.
 
-All QoS used to live in the global :class:`~repro.core.config.UDRConfig`:
-one retry policy, one set of priority weights, no deadlines.  A
-:class:`QoSProfile` scopes those choices to one client session (or one
-operation), layered over the config defaults:
+A :class:`QoSProfile` scopes quality-of-service choices to one client
+session (or one operation); the deployment itself sets none of them:
 
 * ``priority`` -- the admission class of the session's operations
   (``None`` keeps the client type's natural class: FE -> signalling,
   PS -> provisioning);
-* ``retry_policy`` -- overrides ``UDRConfig.retry_policy`` for the
-  session's operations (``None`` inherits it, on every path);
+* ``retry_policy`` -- bounded retries of the session's operations on
+  transient result codes (``None`` fails fast, on every path);
 * ``deadline_ticks`` -- a per-operation completion budget, in ticks of
   :data:`DEADLINE_TICK` from submit time.  An operation still queued or
   retrying when its deadline passes short-circuits with

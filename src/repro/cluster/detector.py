@@ -40,7 +40,7 @@ this module supplies the trigger.  Three cooperating pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.saf import ComponentState
@@ -116,15 +116,6 @@ class PromotionProtocol:
 
     def epoch_of(self, partition_index: int) -> int:
         return self.epochs.get(partition_index, 0)
-
-    def current_master_for(self, partition_index: int,
-                           epoch: int) -> Optional[str]:
-        """The element promoted at ``epoch`` (None for the epoch-0 seed)."""
-        for record in reversed(self.history):
-            if record.partition_index == partition_index and \
-                    record.epoch == epoch:
-                return record.new_master
-        return None
 
     # -- promotion bookkeeping ---------------------------------------------------
 

@@ -14,7 +14,7 @@ availability experiments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.sim import units
@@ -60,11 +60,6 @@ class AvailabilityManager:
         """Run ``listener(name)`` after every component recovery (idempotent)."""
         if listener not in self._recovery_listeners:
             self._recovery_listeners.append(listener)
-
-    def unsubscribe_recovery(self, listener: Callable[[str], None]) -> None:
-        """Stop notifying ``listener`` (no-op when not subscribed)."""
-        if listener in self._recovery_listeners:
-            self._recovery_listeners.remove(listener)
 
     # -- registration ----------------------------------------------------------
 

@@ -8,19 +8,26 @@ workload, compare":
   (section 5's proposal) or Cassandra-style quorum.
 * ``partition_policy`` -- favour Consistency (single master, the default) or
   Availability (multi-master during partitions) when the backbone splits.
-* ``fe_reads_from_slave`` / ``ps_reads_from_slave`` -- section 3.3's asymmetric
-  read policies for application front-ends versus the provisioning system.
+* ``fe_reads_from_slave`` -- section 3.3's asymmetric read policy: application
+  front-ends may read slave copies, the provisioning system reads only the
+  master copy.
 * ``location_mode`` and ``placement`` -- provisioned identity-location maps
   (the paper's choice), cached maps, or consistent hashing; random or
   home-region selective placement.
-* ``checkpoint_period`` / ``synchronous_commit`` -- the F-R disk-dump knob.
+* ``checkpoint_period`` -- the F-R disk-dump knob.
+
+A value no caller varies is not a field: the LDAP pool size
+(:data:`~repro.core.deployment.LDAP_SERVERS_PER_CLUSTER`), the quorum
+write's majority, the admission weights
+(:data:`~repro.core.pipeline.PRIORITY_WEIGHTS`) and the always-on
+location cache are fixed, and a retry policy is set per request.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.sim import units
 
@@ -87,8 +94,9 @@ class Priority(enum.Enum):
     Signalling procedures (application front-ends serving live network
     traffic) outrank provisioning changes, which outrank bulk provisioning
     runs.  The batch admission stage dequeues the classes with a weighted
-    round-robin (``UDRConfig.priority_weights``) so lower classes still make
-    progress under load, but FIFO order is kept *within* each class.
+    round-robin (:data:`~repro.core.pipeline.PRIORITY_WEIGHTS`) so lower
+    classes still make progress under load, but FIFO order is kept
+    *within* each class.
     """
 
     SIGNALLING = "signalling"
@@ -101,14 +109,6 @@ class Priority(enum.Enum):
         if client_type is ClientType.APPLICATION_FE:
             return cls.SIGNALLING
         return cls.PROVISIONING
-
-
-#: Default weighted-round-robin quanta of the batch admission dequeue.
-DEFAULT_PRIORITY_WEIGHTS: Dict[str, int] = {
-    Priority.SIGNALLING.value: 4,
-    Priority.PROVISIONING.value: 2,
-    Priority.BULK.value: 1,
-}
 
 
 @dataclass(frozen=True)
@@ -373,23 +373,15 @@ class UDRConfig:
     regions: Tuple[str, ...] = ("spain", "sweden", "germany")
     sites_per_region: int = 1
     storage_elements_per_site: int = 2
-    ldap_servers_per_cluster: int = 4
     subscriber_capacity_per_element: int = 2_000_000
 
     # -- replication / CAP policies ---------------------------------------------
     replication_factor: int = 2
     replication_mode: ReplicationMode = ReplicationMode.ASYNCHRONOUS
     partition_policy: PartitionPolicy = PartitionPolicy.PREFER_CONSISTENCY
-    write_quorum: int = 2
     #: Shipping grid of the asynchronous replication mux: a commit ships at
     #: the next multiple of this interval (the paper's polling cadence).
     replication_interval: float = 50 * units.MILLISECOND
-    #: Per-shipment backpressure: at most this many records ride one
-    #: ``(master site, slave site)`` shipment of the mux, so a fat link
-    #: burst splits into bounded frames over consecutive rounds instead of
-    #: one huge transfer.  ``None`` (the default) keeps shipments unbounded
-    #: (each member channel still honours its own ``batch_limit``).
-    replication_shipment_max_records: Optional[int] = None
     #: WAL retention: once a master copy's commit log holds more than this
     #: many records, the replication mux truncates it through the slowest
     #: shipped-LSN cursor of its outgoing channels (capped at the
@@ -398,19 +390,16 @@ class UDRConfig:
     #: log until an explicit ``truncate_through``.
     wal_retention: Optional[int] = None
     fe_reads_from_slave: bool = True
-    ps_reads_from_slave: bool = False
 
     # -- durability ---------------------------------------------------------------
     checkpoint_period: float = 15 * units.MINUTE
-    synchronous_commit: bool = False
 
     # -- data location / placement ---------------------------------------------------
     location_mode: LocationMode = LocationMode.PROVISIONED_MAPS
     placement: PlacementMode = PlacementMode.HOME_REGION
-    regulatory_pins: Dict[str, str] = field(default_factory=dict)
-    #: Per-PoA read-through cache in front of the data-location stage; see
-    #: :mod:`repro.core.location_cache`.  Capacity 0 means unbounded.
-    location_cache_enabled: bool = True
+    #: Capacity of each PoA's read-through cache in front of the
+    #: data-location stage; see :mod:`repro.core.location_cache`.  0 means
+    #: unbounded.
     location_cache_capacity: int = 0
     #: Serve scoped Search from the interval-indexed DIT catalog; disabling
     #: falls back to a full scan over every partition (the e20 baseline).
@@ -423,13 +412,6 @@ class UDRConfig:
     #: Ticks (of ``BATCH_LINGER_TICK`` each) an under-filled admission wave
     #: lingers for late arrivals before being driven; 0 disables lingering.
     batch_linger_ticks: int = 0
-    #: Weighted-round-robin quanta of the priority dequeue, keyed by
-    #: :class:`Priority` value.  Missing classes default to weight 1.
-    priority_weights: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PRIORITY_WEIGHTS))
-    #: Retry policy of the pipeline's RetryStage for every request a
-    #: session does not override; ``None`` (the default) fails fast.
-    retry_policy: Optional[RetryPolicy] = None
 
     # -- arrival-driven dispatch -------------------------------------------------------
     #: How individual requests reach the pipeline: ``DIRECT`` call-and-wait
@@ -475,23 +457,14 @@ class UDRConfig:
             raise ValueError("need at least one site per region")
         if self.storage_elements_per_site < 1:
             raise ValueError("need at least one storage element per site")
-        if self.ldap_servers_per_cluster < 1:
-            raise ValueError("need at least one LDAP server per cluster")
         total_elements = (len(self.regions) * self.sites_per_region
                           * self.storage_elements_per_site)
         if not 1 <= self.replication_factor <= total_elements:
             raise ValueError(
                 f"replication factor {self.replication_factor} impossible "
                 f"with {total_elements} storage elements")
-        if self.write_quorum < 1 or self.write_quorum > self.replication_factor:
-            raise ValueError(
-                "write quorum must be between 1 and the replication factor")
         if self.replication_interval <= 0:
             raise ValueError("replication interval must be positive")
-        if self.replication_shipment_max_records is not None and \
-                self.replication_shipment_max_records < 1:
-            raise ValueError(
-                "replication shipment max records must be at least 1")
         if self.wal_retention is not None and self.wal_retention < 1:
             raise ValueError("wal retention must be at least 1 record")
         if self.checkpoint_period <= 0:
@@ -502,13 +475,6 @@ class UDRConfig:
             raise ValueError("batch max size must be at least 1")
         if self.batch_linger_ticks < 0:
             raise ValueError("batch linger ticks cannot be negative")
-        valid_classes = {priority.value for priority in Priority}
-        for name, weight in self.priority_weights.items():
-            if name not in valid_classes:
-                raise ValueError(f"unknown priority class {name!r}")
-            if weight < 1:
-                raise ValueError(
-                    f"priority weight of {name!r} must be at least 1")
         if self.membership is not None and \
                 self.membership.quorum is not None and \
                 self.membership.quorum > self.total_sites:
@@ -532,14 +498,10 @@ class UDRConfig:
                 * self.subscriber_capacity_per_element)
 
     def reads_from_slave(self, client_type: ClientType) -> bool:
-        """The paper's asymmetric read policy (section 3.3.2 vs 3.3.3)."""
-        if client_type is ClientType.APPLICATION_FE:
-            return self.fe_reads_from_slave
-        return self.ps_reads_from_slave
-
-    def weight_of(self, priority: Priority) -> int:
-        """The weighted-round-robin quantum of one priority class."""
-        return self.priority_weights.get(priority.value, 1)
+        """The paper's asymmetric read policy (section 3.3.2 vs 3.3.3):
+        front-ends may read slave copies, provisioning reads the master."""
+        return client_type is ClientType.APPLICATION_FE and \
+            self.fe_reads_from_slave
 
     def multi_master_enabled(self) -> bool:
         return self.partition_policy is PartitionPolicy.PREFER_AVAILABILITY

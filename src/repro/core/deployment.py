@@ -34,7 +34,6 @@ from repro.directory.placement import (
     PlacementCandidate,
     PlacementPolicy,
     RandomPlacement,
-    RegulatoryPinning,
     RoundRobinPlacement,
 )
 from repro.net.network import Network
@@ -53,6 +52,10 @@ from repro.storage.storage_element import (
     StorageElement,
 )
 from repro.core.config import LocationMode, PlacementMode, UDRConfig
+
+#: LDAP servers in each blade cluster's pool.  The count moves no result:
+#: ``LdapServerPool.service_time`` charges one server's time.
+LDAP_SERVERS_PER_CLUSTER = 4
 
 #: Record attribute consulted for each identity namespace.
 IDENTITY_RECORD_ATTRIBUTE = {
@@ -205,14 +208,24 @@ class Deployment:
                                             self.placement_candidates())
 
     def placement_candidates(self) -> List[PlacementCandidate]:
-        """Every element, in order, flagged with whether it has room for
-        one more subscription: what the placement policy chooses from."""
-        return [
-            PlacementCandidate(
-                element_name=element.name,
-                region=element.site.region.name,
-                has_capacity=element.has_capacity_for(1))
-            for element in self.elements.values()]
+        """Every element, in order: what the placement policy chooses
+        from.  Each is flagged with whether its :meth:`master_of`, where a
+        write placed on it lands, has room for one more subscription."""
+        room: Dict[str, bool] = {}
+        candidates = []
+        for element in self.elements.values():
+            master = self.master_of(element.name)
+            if master.name not in room:
+                room[master.name] = master.has_capacity_for(1)
+            candidates.append(PlacementCandidate(
+                element_name=element.name, region=element.site.region.name,
+                has_capacity=room[master.name]))
+        return candidates
+
+    def master_of(self, element_name: str) -> StorageElement:
+        """The element holding the master copy of the partition placed on
+        ``element_name``: itself, or the promoted one after a fail-over."""
+        return self.replica_set_of_element(element_name).master_storage_element
 
     def __repr__(self) -> str:
         return (f"<Deployment {self.config.name!r} "
@@ -285,8 +298,7 @@ class DeploymentBuilder:
 
     def _build_clusters_and_elements(self) -> None:
         checkpoint_policy = CheckpointPolicy(
-            period=self.config.checkpoint_period,
-            synchronous_commit=self.config.synchronous_commit)
+            period=self.config.checkpoint_period)
         # Interleave elements across sites so consecutive elements sit at
         # different sites; the round-robin replica layout then places every
         # secondary copy at a different geographic location, as required.
@@ -306,7 +318,7 @@ class DeploymentBuilder:
                 cluster.add_storage_element(element)
                 self.elements[element.name] = element
                 site_elements.append(element)
-            for _ in range(self.config.ldap_servers_per_cluster):
+            for _ in range(LDAP_SERVERS_PER_CLUSTER):
                 cluster.add_ldap_server()
             per_site_elements.append(site_elements)
         for index in range(self.config.storage_elements_per_site):
@@ -369,12 +381,13 @@ class DeploymentBuilder:
         return stream, history
 
     def _build_replicators(self, availability_manager) -> None:
+        # A quorum write waits for a majority of the replica set.
+        write_quorum = self.config.replication_factor // 2 + 1
         # Recovery notifications re-arm stalled replication links exactly
         # when their endpoint comes back, instead of a cadence retry.
         self.replication_mux = ReplicationMux(
             self.sim, self.network, availability_manager,
             ship_linger=self.config.replication_interval,
-            shipment_max_records=self.config.replication_shipment_max_records,
             wal_retention=self.config.wal_retention)
         for index, replica_set in self.replica_sets.items():
             for slave_name in replica_set.slave_names():
@@ -386,7 +399,7 @@ class DeploymentBuilder:
                 self.sim, self.network, replica_set)
             self.quorum_replicators[index] = QuorumReplicator(
                 self.sim, self.network, replica_set,
-                write_quorum=self.config.write_quorum)
+                write_quorum=write_quorum)
 
     def _build_points_of_access(self) -> None:
         for cluster in self.clusters:
@@ -416,13 +429,7 @@ class DeploymentBuilder:
     def _build_placement_policy(self) -> PlacementPolicy:
         mode = self.config.placement
         if mode is PlacementMode.RANDOM:
-            policy: PlacementPolicy = RandomPlacement(
-                self.sim.rng("placement"))
-        elif mode is PlacementMode.ROUND_ROBIN:
-            policy = RoundRobinPlacement()
-        else:
-            policy = HomeRegionPlacement()
-        if self.config.regulatory_pins:
-            policy = RegulatoryPinning(self.config.regulatory_pins,
-                                       fallback=policy)
-        return policy
+            return RandomPlacement(self.sim.rng("placement"))
+        if mode is PlacementMode.ROUND_ROBIN:
+            return RoundRobinPlacement()
+        return HomeRegionPlacement()

@@ -328,7 +328,7 @@ class BatchDispatcher:
         self.pipeline = pipeline
         self.metrics = metrics
         #: The queued tickets, persistent across waves.
-        self.queue = AdmissionQueue(config)
+        self.queue = AdmissionQueue()
         self.waves_dispatched = 0
         self.requests_dispatched = 0
         self.adaptive = (AdaptiveLingerController(config.adaptive_linger,

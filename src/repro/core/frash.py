@@ -137,11 +137,9 @@ class FrashGraph:
         h_f = self.link("H-F")
 
         # 3.1: periodic disk dumps and geo-redundant copies cost a little F
-        # for a lot of R.  Shorter periods (or sync commit) cost more.
+        # for a lot of R.  Shorter periods cost more.
         dump_cost = 0.15
-        if config.synchronous_commit:
-            dump_cost = 0.45
-        elif config.checkpoint_period < 5 * units.MINUTE:
+        if config.checkpoint_period < 5 * units.MINUTE:
             dump_cost = 0.25
         decisions.append(DesignDecision(
             name="periodic disk dump + geo-redundant copies",
@@ -205,17 +203,15 @@ class FrashGraph:
                 name="application FEs may read slave copies",
                 link=f_a, shift=-0.15, applies_to=ClientType.APPLICATION_FE,
                 rationale="section 3.3.2: local reads, possibly stale"))
-        if not config.ps_reads_from_slave:
-            decisions.append(DesignDecision(
-                name="PS reads only the master copy",
-                link=f_a, shift=+0.15, applies_to=ClientType.PROVISIONING,
-                rationale="section 3.3.3: stale reads unacceptable for PS"))
+        decisions.append(DesignDecision(
+            name="PS reads only the master copy",
+            link=f_a, shift=+0.15, applies_to=ClientType.PROVISIONING,
+            rationale="section 3.3.3: stale reads unacceptable for PS"))
 
         # 3.5: wide distribution lowers availability; selective placement
         # counteracts it.  Either way the H-F link stays weak.
         from repro.core.config import PlacementMode
-        if config.placement is PlacementMode.HOME_REGION or \
-                config.regulatory_pins:
+        if config.placement is PlacementMode.HOME_REGION:
             decisions.append(DesignDecision(
                 name="selective (home region) placement",
                 link=h_r, shift=+0.20,

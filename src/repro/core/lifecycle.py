@@ -26,7 +26,11 @@ from repro.replication.restoration import (
 )
 from repro.storage.storage_element import StorageElement
 from repro.core.config import UDRConfig
-from repro.core.deployment import Deployment, DeploymentBuilder
+from repro.core.deployment import (
+    LDAP_SERVERS_PER_CLUSTER,
+    Deployment,
+    DeploymentBuilder,
+)
 from repro.core.location_cache import LocationCacheGroup
 
 
@@ -188,7 +192,7 @@ class ClusterController:
                           if s.region.name == region]) + 1
         site = deployment.topology.add_site(f"{region}-dc{site_index}", region)
         cluster = BladeCluster(name=f"cluster-{site.name}", site=site)
-        for _ in range(self.config.ldap_servers_per_cluster):
+        for _ in range(LDAP_SERVERS_PER_CLUSTER):
             cluster.add_ldap_server()
         deployment.clusters.append(cluster)
         locator = self.builder.make_locator(cluster.name)

@@ -17,8 +17,8 @@ so the cache is explicitly invalidated by the lifecycle layer:
 * on **locator sync** (a scaled-out PoA copying its maps) the PoA's cache is
   cleared and bypassed until the maps are in place.
 
-``UDRConfig.location_cache_enabled`` turns the fast path off entirely and
-``location_cache_capacity`` bounds each PoA's cache (LRU eviction).
+The cache is always on; ``UDRConfig.location_cache_capacity`` bounds each
+PoA's cache (LRU eviction).
 """
 
 from __future__ import annotations

@@ -78,6 +78,9 @@ BATCH_LINGER_TICK = 1 * units.MILLISECOND
 #: The priority classes in dequeue order (highest first); a
 #: :class:`BatchItem`'s ``rank`` indexes this tuple.
 PRIORITY_ORDER: Tuple[Priority, ...] = tuple(Priority)
+#: Weighted-round-robin quanta of the admission dequeue, one per class of
+#: :data:`PRIORITY_ORDER`.
+PRIORITY_WEIGHTS: Tuple[int, ...] = (4, 2, 1)
 _PRIORITY_VALUES = tuple(priority.value for priority in PRIORITY_ORDER)
 _INFINITY = float("inf")
 
@@ -135,9 +138,9 @@ class OperationContext:
         #: Absolute virtual-time deadline of this request (session QoS);
         #: ``None`` -- the legacy default -- never expires.
         self.deadline = deadline
-        #: The RetryPolicy governing this request's data path; resolved at
-        #: context creation (per-session override, else the config default)
-        #: so the RetryStage needs no fallback logic.
+        #: The RetryPolicy governing this request's data path (the
+        #: request's own, from its session's QoS or its batch item);
+        #: ``None`` fails fast.
         self.retry_policy = retry_policy
         #: Keyset cursor and continuation flag of a paged SEARCH page.
         self.next_cursor: Optional[str] = None
@@ -730,8 +733,7 @@ class WritePath(PipelineStage):
             yield from self.write_target(ctx, ledger)
         reads = 1 if plan.kind is PlanKind.UPDATE else 0
         yield from self.sim.hold(element.service_times.transaction_time(
-            reads=reads, writes=1,
-            synchronous_commit=self.config.synchronous_commit))
+            reads=reads, writes=1))
 
         record, prior_value = self._apply_write(plan, copy)
         ctx.epoch = copy.transactions.epoch
@@ -951,9 +953,8 @@ class BatchItem:
     ``priority`` defaults to the client type's natural class
     (FE -> signalling, PS -> provisioning); bulk provisioning runs pass
     :attr:`Priority.BULK` explicitly.  ``deadline`` (absolute virtual time)
-    and ``retry_policy`` carry per-session QoS overrides from the
-    :mod:`repro.api` layer; they default to no deadline and the config's
-    retry policy.
+    and ``retry_policy`` carry per-session QoS from the :mod:`repro.api`
+    layer; they default to no deadline and no retries.
     """
 
     request: LdapRequest
@@ -980,10 +981,10 @@ class AdmissionQueue:
     One heap per priority class keyed ``(deadline or inf, arrival seq)``:
     the earliest absolute deadline first within a class, deadline-free work
     at the class's back, FIFO among ties.  :meth:`pop_wave` runs the
-    weighted round robin over those heaps (``UDRConfig.priority_weights``
-    quanta per turn, classes in :data:`PRIORITY_ORDER`), restarting the
-    round at every call, and pops at most ``limit`` entries -- so one wave
-    costs O(wave log depth) however deep the queue is.  The live entries
+    weighted round robin over those heaps (``weights`` quanta per turn,
+    classes in :data:`PRIORITY_ORDER`), restarting the round at every
+    call, and pops at most ``limit`` entries -- so one wave costs
+    O(wave log depth) however deep the queue is.  The live entries
     are also kept in arrival order (a dict keyed on arrival seq) and their
     QoS deadlines in a heap, so the oldest entry, :meth:`expire` and
     :meth:`earliest_deadline` touch only the entries they return.  Heaps
@@ -997,9 +998,8 @@ class AdmissionQueue:
     __slots__ = ("_weights", "_heaps", "_counts", "_live", "_deadlines",
                  "_next_seq", "_oldest_seq")
 
-    def __init__(self, config: UDRConfig):
-        self._weights = tuple(config.weight_of(priority)
-                              for priority in PRIORITY_ORDER)
+    def __init__(self, weights: Tuple[int, ...] = PRIORITY_WEIGHTS):
+        self._weights = weights
         self._heaps: Tuple[list, ...] = tuple([] for _ in PRIORITY_ORDER)
         #: Live entries per class (the heaps may also hold dead ones).
         self._counts = [0] * len(PRIORITY_ORDER)
@@ -1112,7 +1112,7 @@ class BatchAdmissionStage(PipelineStage):
     """Admission of a whole batch: priority dequeue plus shared PoA hops.
 
     The dequeue is a weighted round-robin over the priority classes in
-    descending order (``UDRConfig.priority_weights`` quanta per turn), FIFO
+    descending order (:data:`PRIORITY_WEIGHTS` quanta per turn), FIFO
     within each class, so signalling traffic overtakes provisioning and bulk
     without starving them.  Within one class, deadline-carrying work is
     ordered by remaining slack: the earlier absolute deadline goes first,
@@ -1135,7 +1135,7 @@ class BatchAdmissionStage(PipelineStage):
         ``order(entries, k) == order(entries)[:k]`` without ordering the
         rest.
         """
-        queue = AdmissionQueue(self.config)
+        queue = AdmissionQueue()
         for entry in entries:
             queue.push(entry)
         return queue.pop_wave(len(entries) if limit is None else limit)
@@ -1157,9 +1157,8 @@ class RetryStage(PipelineStage):
     transient, it waits the policy's backoff and tries again -- re-running
     data location from scratch, so a fail-over that invalidated the PoA
     caches between attempts is honoured instead of retrying against the
-    stale location.  The policy is resolved at context creation (the
-    per-session QoS override, else ``UDRConfig.retry_policy``, else
-    ``None``); without one the stage is a plain pass-through.
+    stale location.  The policy is the request's own (its session's QoS or
+    its batch item's); without one the stage is a plain pass-through.
 
     Deadline propagation: a context whose ``deadline`` has passed
     short-circuits with ``TIME_LIMIT_EXCEEDED`` before touching the data
@@ -1264,8 +1263,6 @@ class OperationPipeline:
     # -- cache plumbing ------------------------------------------------------------
 
     def cache_for(self, poa: PointOfAccess) -> Optional[PoALocationCache]:
-        if not self.config.location_cache_enabled:
-            return None
         return self.caches.for_poa(poa)
 
     # -- the operation path --------------------------------------------------------
@@ -1281,15 +1278,14 @@ class OperationPipeline:
         Returns an :class:`~repro.ldap.operations.LdapResponse`; never raises
         for operational failures -- they are encoded as result codes,
         exactly as a directory server would answer.  ``retry_policy``
-        overrides ``UDRConfig.retry_policy``.  A ``deadline`` (absolute
+        governs retries (``None`` fails fast).  A ``deadline`` (absolute
         virtual time) already passed is answered ``TIME_LIMIT_EXCEEDED``
         without any hop; one that passes in flight is answered where the
         wave notices it.
         """
         ctx = OperationContext(
             request, client_type, client_site, self.sim.now, priority,
-            deadline, retry_policy if retry_policy is not None
-            else self.config.retry_policy)
+            deadline, retry_policy)
         yield from self._run_wave([ctx], charge_linger=False)
         self.batch.flush()
         return ctx.response
@@ -1334,12 +1330,10 @@ class OperationPipeline:
     def _contexts(self, items: Sequence[BatchItem]) -> List[OperationContext]:
         """One context per item, in ``items`` order."""
         now = self.sim.now
-        default_policy = self.config.retry_policy
         return [OperationContext(
                     item.request, item.client_type, item.client_site, now,
                     PRIORITY_ORDER[item.rank], item.deadline,
-                    item.retry_policy if item.retry_policy is not None
-                    else default_policy)
+                    item.retry_policy)
                 for item in items]
 
     def _run_wave(self, wave: List[OperationContext],
@@ -1598,8 +1592,8 @@ class OperationPipeline:
         and reverses the eager identity bookkeeping: the per-write path
         raises *before* registering a CREATE (or deregistering a DELETE),
         so lookups must not diverge between the two modes."""
-        yield from self.sim.hold(group.element.service_times.commit_charge(
-            self.config.synchronous_commit))
+        yield from self.sim.hold(
+            group.element.service_times.commit_charge())
         try:
             record = group.transaction.commit(timestamp=self.sim.now)
         except FencedError:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.balancer import PointOfAccess
+from repro.directory.placement import PlacementCandidate
 from repro.directory.sync import MapSynchroniser
 from repro.metrics.collector import MetricsRegistry
 from repro.net.topology import Site
@@ -159,8 +160,8 @@ class UDRNetworkFunction:
 
         * placement builds the candidate list once and, after each commit,
           re-counts only the element holding the written master copy (the
-          one count that moved); consistent hashing still locates each
-          profile;
+          one count that moved) and re-flags every candidate whose writes
+          land there; consistent hashing still locates each profile;
         * the catalog folds the call's commits on exit
           (:meth:`~repro.directory.dit.DirectoryCatalog.deferred`): one
           DIT labelling pass for the new keys;
@@ -174,8 +175,11 @@ class UDRNetworkFunction:
         deployment = self.deployment
         hashed = self.config.location_mode is LocationMode.CONSISTENT_HASH
         candidates = [] if hashed else deployment.placement_candidates()
-        by_element = {candidate.element_name: candidate
-                      for candidate in candidates}
+        by_master: Dict[str, List[PlacementCandidate]] = {}
+        for candidate in candidates:
+            by_master.setdefault(
+                deployment.master_of(candidate.element_name).name,
+                []).append(candidate)
         choose = deployment.placement_policy.choose
         entries: List[Tuple[str, str, str]] = []
         loaded = 0
@@ -196,8 +200,9 @@ class UDRNetworkFunction:
                             slave_name).transactions.apply_log_record(record)
                     if not hashed:
                         master = replica_set.master_storage_element
-                        by_element[master.name].has_capacity = \
-                            master.has_capacity_for(1)
+                        room = master.has_capacity_for(1)
+                        for candidate in by_master[master.name]:
+                            candidate.has_capacity = room
                     entries.extend(
                         (identity_type, value, element_name)
                         for identity_type, value

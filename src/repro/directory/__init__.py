@@ -35,7 +35,6 @@ from repro.directory.placement import (
     HomeRegionPlacement,
     PlacementPolicy,
     RandomPlacement,
-    RegulatoryPinning,
     RoundRobinPlacement,
 )
 from repro.directory.locator import (
@@ -67,7 +66,6 @@ __all__ = [
     "PlacementPolicy",
     "ProvisionedLocator",
     "RandomPlacement",
-    "RegulatoryPinning",
     "RoundRobinPlacement",
     "UnknownIdentity",
 ]

@@ -15,7 +15,7 @@ by configuration and the experiments can compare the consequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.directory.consistent_hash import ConsistentHashRing
@@ -67,10 +67,6 @@ class Locator:
 
     def deregister(self, identities: Mapping[str, str]) -> None:
         raise NotImplementedError
-
-    def lookup_cost(self) -> float:
-        """Average comparisons per lookup (the H-F link's x-axis)."""
-        return 0.0
 
 
 class ProvisionedLocator(Locator):
@@ -136,9 +132,6 @@ class ProvisionedLocator(Locator):
     def import_entries(self, entries) -> None:
         self.directory.bulk_load(entries)
 
-    def lookup_cost(self) -> float:
-        return self.directory.average_lookup_cost()
-
     def __repr__(self) -> str:
         return (f"<ProvisionedLocator entries={self.directory.total_entries()} "
                 f"syncing={self._syncing}>")
@@ -198,9 +191,6 @@ class CachedLocator(Locator):
         """Drop cached entries (after a relocation)."""
         self.cache.deregister(identities)
 
-    def lookup_cost(self) -> float:
-        return self.cache.average_lookup_cost()
-
     def __repr__(self) -> str:
         return (f"<CachedLocator entries={self.cache.total_entries()} "
                 f"hit_ratio={self.stats.hit_ratio():.2f}>")
@@ -248,9 +238,6 @@ class ConsistentHashLocator(Locator):
 
     def deregister(self, identities: Mapping[str, str]) -> None:
         return None
-
-    def lookup_cost(self) -> float:
-        return self.ring.average_lookup_cost()
 
     def __repr__(self) -> str:
         return (f"<ConsistentHashLocator elements={len(self.ring)} "

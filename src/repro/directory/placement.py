@@ -5,14 +5,12 @@ it wants data of a subscription to be placed, i.e. selective location.  This
 is useful in telecom networks since it is known that users stay within the
 home region of the subscription most of the time" -- placing data near its
 home region keeps application front-end traffic off the backbone and is the
-lever that moves the H-R trade-off point.  Regulatory constraints can
-override locality ("data for subscribers belonging to a country or
-organization must be located at a predetermined place").
+lever that moves the H-R trade-off point.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 class PlacementCandidate:
@@ -41,7 +39,7 @@ class PlacementPolicy:
     def choose(self, subscriber, candidates: Sequence[PlacementCandidate]) -> str:
         """Return the chosen element name.
 
-        ``subscriber`` exposes at least ``home_region`` and ``organisation``
+        ``subscriber`` exposes at least ``home_region`` and ``key``
         attributes (duck-typed; the subscriber package provides them).
         """
         raise NotImplementedError
@@ -105,32 +103,6 @@ class HomeRegionPlacement(PlacementPolicy):
             key = getattr(subscriber, "key", "")
             return local[hash_index(key, len(local))].element_name
         self.fallback_placements += 1
-        return self.fallback.choose(subscriber, usable)
-
-
-class RegulatoryPinning(PlacementPolicy):
-    """Pin organisations/countries to predetermined elements, else delegate."""
-
-    name = "regulatory-pinning"
-    supports_selective_placement = True
-
-    def __init__(self, pinned: Dict[str, str],
-                 fallback: Optional[PlacementPolicy] = None):
-        self.pinned = dict(pinned)
-        self.fallback = fallback or HomeRegionPlacement()
-        self.pinned_placements = 0
-
-    def choose(self, subscriber, candidates: Sequence[PlacementCandidate]) -> str:
-        usable = self._usable(candidates)
-        organisation = getattr(subscriber, "organisation", None)
-        home_region = getattr(subscriber, "home_region", None)
-        for pin_key in (organisation, home_region):
-            if pin_key and pin_key in self.pinned:
-                target = self.pinned[pin_key]
-                for candidate in usable:
-                    if candidate.element_name == target:
-                        self.pinned_placements += 1
-                        return target
         return self.fallback.choose(subscriber, usable)
 
 

@@ -30,11 +30,6 @@ class MapSyncEstimate:
     bytes_transferred: int
     duration: float
 
-    @property
-    def unavailable_seconds(self) -> float:
-        """Time during which the new PoA cannot serve operations."""
-        return self.duration
-
 
 class MapSynchroniser:
     """Copies identity-location maps from a peer locator to a new one."""

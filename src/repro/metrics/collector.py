@@ -217,14 +217,3 @@ class MetricsBatch:
 
     def __repr__(self) -> str:
         return f"<MetricsBatch pending={self.pending}>"
-
-
-_default_registry: Optional[MetricsRegistry] = None
-
-
-def default_registry() -> MetricsRegistry:
-    """A process-wide registry for quick scripts (experiments build their own)."""
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = MetricsRegistry("default")
-    return _default_registry

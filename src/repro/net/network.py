@@ -201,15 +201,6 @@ class Network:
             raise ValueError("latency factor must be positive")
         self._latency_factors[link_class] = factor
 
-    def one_way_latency(self, source: Site, destination: Site) -> float:
-        """Sample a one-way delay; raises if the pair is partitioned."""
-        if not self.reachable(source, destination):
-            self.stats.partition_rejections += 1
-            raise NetworkPartitionedError(source, destination)
-        link = self.classify(source, destination)
-        profile = self.profiles[link]
-        return profile.latency.sample(self._rng) * self._latency_factors[link]
-
     def mean_one_way_latency(self, source: Site, destination: Site) -> float:
         """Expected one-way delay (ignores partitions); for analytic planning."""
         link = self.classify(source, destination)

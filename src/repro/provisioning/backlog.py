@@ -60,18 +60,6 @@ class BacklogModel:
     def overflowed(self) -> bool:
         return self.dropped > 0
 
-    def time_above_warning(self) -> float:
-        """Total time the depth spent at or above the warning level."""
-        above = 0.0
-        previous_time: Optional[float] = None
-        previous_depth = 0
-        for timestamp, depth in self._timeline:
-            if previous_time is not None and \
-                    previous_depth >= (self.warning_level or 0):
-                above += timestamp - previous_time
-            previous_time, previous_depth = timestamp, depth
-        return above
-
     def timeline(self) -> List[Tuple[float, int]]:
         return list(self._timeline)
 

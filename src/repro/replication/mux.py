@@ -31,7 +31,7 @@ collapses that fan-in:
   re-arms links with backlog; a round still re-checks each indexed
   member's live binding, so it can never ship along a stale one.
 
-Three queue-health policies ride on the rounds:
+Two queue-health policies ride on the rounds:
 
 * **stall handling** -- a stall caused by a *down endpoint* does not poll
   at all: the mux subscribes to the availability manager's recovery
@@ -39,10 +39,6 @@ Three queue-health policies ride on the rounds:
   A network-level stall (a partitioned backbone has no recovery event)
   re-arms after one ``ship_linger``, so a healing partition drains on the
   next grid point without any idle cost while everything is healthy;
-* **per-shipment backpressure** -- ``shipment_max_records`` caps how many
-  records one round may carry over one link, so a fat burst (a recovered
-  slave's whole outage backlog, a bulk provisioning run) splits into
-  bounded frames over consecutive rounds instead of one huge transfer;
 * **WAL retention** -- with ``wal_retention`` set, a master commit log
   that grew past the limit is truncated through the *slowest shipped-LSN
   cursor* of its outgoing channels (capped at the durability watermark, so
@@ -77,19 +73,15 @@ class ReplicationMux:
 
     def __init__(self, sim, network, availability_manager, *,
                  ship_linger: float = 50 * units.MILLISECOND,
-                 shipment_max_records: Optional[int] = None,
                  wal_retention: Optional[int] = None,
                  metrics=None):
         if ship_linger <= 0:
             raise ValueError("ship linger must be positive")
-        if shipment_max_records is not None and shipment_max_records < 1:
-            raise ValueError("shipment max records must be at least 1")
         if wal_retention is not None and wal_retention < 1:
             raise ValueError("wal retention must be at least 1 record")
         self.sim = sim
         self.network = network
         self.ship_linger = ship_linger
-        self.shipment_max_records = shipment_max_records
         self.wal_retention = wal_retention
         self.metrics = metrics
         self.channels: List[AsyncReplicationChannel] = []
@@ -108,9 +100,6 @@ class ReplicationMux:
         self.wal_records_truncated = 0
         #: Links with a shipping round armed (pending in the event queue).
         self._armed: Set[Tuple] = set()
-        #: Per-link rotation of the member scan under a shipment cap, so
-        #: the budget is not always spent on the same first channels.
-        self._scan_offset: Dict[Tuple, int] = {}
         self._running = False
         #: Bumped by stop()/rebind(); an armed round whose generation is
         #: stale does nothing when it fires.
@@ -256,8 +245,8 @@ class ReplicationMux:
         elif any(channel.has_backlog()
                  and self._endpoints_available(channel)
                  for channel in self._link_members(key)):
-            # Commits that landed during the transfer, or a batch-limit /
-            # shipment-cap truncation that left records behind.  Backlog on
+            # Commits that landed during the transfer, or a batch-limit
+            # truncation that left records behind.  Backlog on
             # a down endpoint does not count: it re-arms on the recovery
             # notification.
             self._arm(key, self._grid_delay())
@@ -269,33 +258,17 @@ class ReplicationMux:
         is ``key``, so fail-overs between arming and firing are honoured.
         Returns whether the transfer stalled on the network (an endpoint
         stall re-arms on recovery, not on a cadence).
-        ``shipment_max_records`` caps the round's payload; what does not
-        fit stays backlogged for the next grid point, and the member scan
-        rotates round over round so a channel that keeps the budget busy
-        cannot starve its link-mates indefinitely.
         """
         source, destination = key
-        members = self._link_members(key)
-        if self.shipment_max_records is not None and len(members) > 1:
-            start = self._scan_offset.get(key, 0) % len(members)
-            self._scan_offset[key] = start + 1
-            members = members[start:] + members[:start]
         shipment = []
-        budget = self.shipment_max_records
-        for channel in members:
+        for channel in self._link_members(key):
             master_element, slave_element = channel.endpoints()
             if not master_element.available or not slave_element.available:
                 if channel.has_backlog():
                     channel.stalled_rounds += 1
                 continue
-            if budget is not None and budget <= 0:
-                continue  # out of budget; stall accounting still ran above
             master_name, records = channel.pending_records()
-            if budget is not None and len(records) > budget:
-                records = records[:budget]
             if records:
-                if budget is not None:
-                    budget -= len(records)
                 shipment.append((channel, master_name, records))
         if shipment:
             payload = FRAME_BYTES + sum(

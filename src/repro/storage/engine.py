@@ -47,11 +47,6 @@ class RecordStore:
         return self._last_applied_seq
 
     @property
-    def last_applied_epoch(self) -> int:
-        """Promotion epoch of the newest version applied to this copy."""
-        return self._last_applied_epoch
-
-    @property
     def last_applied_position(self) -> tuple:
         """Recency watermark ordered across promotion epochs."""
         return (self._last_applied_epoch, self._last_applied_seq)

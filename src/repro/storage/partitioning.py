@@ -153,10 +153,6 @@ class PartitionLayout:
                 result[assignment.partition] = "secondary"
         return result
 
-    def assignments(self) -> List[PartitionAssignment]:
-        return [self._assignments[index]
-                for index in sorted(self._assignments)]
-
     def surviving_coverage(self, alive_elements: Sequence[str]) -> float:
         """Fraction of partitions with at least one copy on a live element.
 

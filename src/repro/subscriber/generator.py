@@ -4,9 +4,9 @@ The paper reasons about hundreds of millions of subscribers with an "average
 profile"; the experiments need much smaller but structurally identical
 populations.  The generator produces profiles deterministically from a seed:
 home regions follow a configurable population split, a fraction of
-subscriptions belongs to pinned organisations (for the regulatory-placement
-experiments), IMS is enabled for a configurable share (IMS procedures cost
-more LDAP operations), and a few percent carry non-default service settings.
+subscriptions belongs to named organisations (a searchable attribute), IMS
+is enabled for a configurable share (IMS procedures cost more LDAP
+operations), and a few percent carry non-default service settings.
 """
 
 from __future__ import annotations

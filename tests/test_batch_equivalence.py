@@ -6,6 +6,7 @@ amortises cost, it never changes observable behaviour.  A second suite pins
 the metric contract: one batch records the same counts as sequential
 execution but flushes the metric batch exactly once, at batch end."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -95,7 +96,8 @@ def run_sequential(udr, items):
     for item in items:
         response = run_to_completion(
             udr, udr.pipeline.execute(item.request, item.client_type,
-                                      item.client_site))
+                                      item.client_site,
+                                      retry_policy=item.retry_policy))
         codes.append(response.result_code.name)
     return codes
 
@@ -198,8 +200,9 @@ class TestBatchSequentialEquivalence:
         assert store_state(bat_udr) == store_state(seq_udr)
 
     def test_equivalence_with_cache_disabled(self):
-        (seq_udr, seq_profiles), (bat_udr, _bat) = equivalence_pair(
-            {"location_cache_enabled": False})
+        (seq_udr, seq_profiles), (bat_udr, _bat) = equivalence_pair()
+        for udr in (seq_udr, bat_udr):
+            udr.pipeline.cache_for = lambda poa: None
         items = seeded_workload(seq_udr, seq_profiles, seed=59)
         assert run_batched(bat_udr, items) == run_sequential(seq_udr, items)
         assert store_state(bat_udr) == store_state(seq_udr)
@@ -207,9 +210,10 @@ class TestBatchSequentialEquivalence:
     def test_equivalence_with_retry_policy_on_healthy_deployment(self):
         """On a healthy deployment the retry stage never fires, so a retry
         policy must not perturb the equivalence property."""
-        (seq_udr, seq_profiles), (bat_udr, _bat) = equivalence_pair(
-            {"retry_policy": RetryPolicy(max_retries=2)})
-        items = seeded_workload(seq_udr, seq_profiles, seed=67)
+        (seq_udr, seq_profiles), (bat_udr, _bat) = equivalence_pair()
+        policy = RetryPolicy(max_retries=2)
+        items = [dataclasses.replace(item, retry_policy=policy)
+                 for item in seeded_workload(seq_udr, seq_profiles, seed=67)]
         assert run_batched(bat_udr, items) == run_sequential(seq_udr, items)
         assert store_state(bat_udr) == store_state(seq_udr)
         assert bat_udr.metrics.counter("batch.retries") == 0

@@ -230,11 +230,9 @@ def burst(udr, profiles):
 @st.composite
 def load_cases(draw):
     placement = draw(st.sampled_from(list(PlacementMode)))
-    pins = draw(st.sampled_from([{}, {"sweden": "se-spain-dc1-1"}]))
     config = UDRConfig(
         seed=draw(st.integers(0, 3)),
         placement=placement,
-        regulatory_pins=pins,
         location_mode=draw(st.sampled_from(list(LocationMode))),
         cdc=CdcPolicy() if draw(st.booleans()) else None,
         replication_factor=draw(st.sampled_from([2, 3])),
@@ -289,6 +287,23 @@ def test_capacity_running_out_mid_call_keeps_the_partial_load():
     assert batched.subscribers_loaded == 0
     assert all(locator.stats.registrations == 12
                for locator in batched.locators.values())
+
+
+def test_capacity_is_the_master_elements_after_a_fail_over():
+    """A write placed on a failed-over element lands on its partition's
+    promoted master, so that master's room flags both candidates: the
+    load stops when the masters are full instead of filling the promoted
+    element past its capacity."""
+    config = UDRConfig(seed=1, subscriber_capacity_per_element=2)
+    profiles = SubscriberGenerator(config.regions, seed=1).generate(30)
+    for load in (reference_load, UDRNetworkFunction.load_subscriber_base):
+        udr = build(config)
+        udr.fail_over("se-sweden-dc1-0")
+        with pytest.raises(ValueError,
+                           match="no storage element has capacity"):
+            load(udr, profiles)
+        assert max(element.subscriber_count()
+                   for element in udr.elements.values()) <= 2
 
 
 def test_one_capacity_scan_per_profile_plus_one_per_element(monkeypatch):

@@ -1,5 +1,9 @@
 """Unit tests for UDRConfig and the analytic core models."""
 
+import ast
+import dataclasses
+import pathlib
+
 import pytest
 
 from repro.core import (
@@ -17,6 +21,7 @@ from repro.core import (
     classify,
 )
 from repro.core.config import PlacementMode
+from repro.core.pipeline import PRIORITY_ORDER, PRIORITY_WEIGHTS
 from repro.core.pacelc import classify_both
 from repro.sim import units
 
@@ -28,8 +33,6 @@ class TestUDRConfig:
         assert config.partition_policy is PartitionPolicy.PREFER_CONSISTENCY
         assert config.location_mode is LocationMode.PROVISIONED_MAPS
         assert config.fe_reads_from_slave is True
-        assert config.ps_reads_from_slave is False
-        assert config.synchronous_commit is False
 
     def test_derived_quantities(self):
         config = UDRConfig(regions=("a", "b"), sites_per_region=2,
@@ -42,6 +45,9 @@ class TestUDRConfig:
         config = UDRConfig()
         assert config.reads_from_slave(ClientType.APPLICATION_FE)
         assert not config.reads_from_slave(ClientType.PROVISIONING)
+        master_only = UDRConfig(fe_reads_from_slave=False)
+        assert not master_only.reads_from_slave(ClientType.APPLICATION_FE)
+        assert not master_only.reads_from_slave(ClientType.PROVISIONING)
 
     def test_replace_produces_modified_copy(self):
         config = UDRConfig()
@@ -57,8 +63,6 @@ class TestUDRConfig:
         with pytest.raises(ValueError):
             UDRConfig(replication_factor=100)
         with pytest.raises(ValueError):
-            UDRConfig(write_quorum=5)
-        with pytest.raises(ValueError):
             UDRConfig(checkpoint_period=0)
         with pytest.raises(ValueError):
             UDRConfig(storage_elements_per_site=0)
@@ -68,31 +72,66 @@ class TestUDRConfig:
             UDRConfig(batch_max_size=0)
         with pytest.raises(ValueError):
             UDRConfig(batch_linger_ticks=-1)
-        with pytest.raises(ValueError):
-            UDRConfig(priority_weights={"no-such-class": 1})
-        with pytest.raises(ValueError):
-            UDRConfig(priority_weights={"signalling": 0})
 
     def test_priority_defaults_and_weights(self):
-        config = UDRConfig()
         assert Priority.for_client(ClientType.APPLICATION_FE) is \
             Priority.SIGNALLING
         assert Priority.for_client(ClientType.PROVISIONING) is \
             Priority.PROVISIONING
-        assert config.weight_of(Priority.SIGNALLING) > \
-            config.weight_of(Priority.PROVISIONING) > \
-            config.weight_of(Priority.BULK)
-        sparse = UDRConfig(priority_weights={"signalling": 8})
-        assert sparse.weight_of(Priority.BULK) == 1, \
-            "classes missing from the mapping default to weight 1"
+        assert PRIORITY_ORDER == (Priority.SIGNALLING, Priority.PROVISIONING,
+                                  Priority.BULK)
+        assert PRIORITY_WEIGHTS == (4, 2, 1), \
+            "signalling outweighs provisioning, which outweighs bulk"
 
     def test_removed_replication_knobs_are_rejected(self):
-        """The mux is the only shipping driver with a fixed frame charge:
-        the options that picked or tuned a second mode are gone."""
-        with pytest.raises(TypeError):
-            UDRConfig(replication_mux=False)
-        with pytest.raises(TypeError):
-            UDRConfig(replication_frame_bytes=0)
+        removed = [
+            # The mux is the only shipping driver with a fixed frame
+            # charge: the options that picked or tuned a second mode.
+            "replication_mux", "replication_frame_bytes",
+            # Set by no caller: each became a constant, a derived value,
+            # the only behaviour left, or a per-request choice.
+            "ldap_servers_per_cluster", "write_quorum",
+            "replication_shipment_max_records", "ps_reads_from_slave",
+            "synchronous_commit", "regulatory_pins",
+            "location_cache_enabled", "priority_weights", "retry_policy"]
+        for knob in removed:
+            with pytest.raises(TypeError):
+                UDRConfig(**{knob: None})
+
+    def test_every_field_is_set_by_a_caller(self):
+        """Every field but the footprint's is set by some program outside
+        the tests: a ``UDRConfig(...)`` or ``.replace(...)`` keyword or a
+        string key of a dict literal (perfbench's workload configs) in
+        ``src/repro`` (the config module itself aside), ``examples``,
+        ``scripts`` or ``perfbench``.  A field no caller sets is a knob
+        only tests turn, so it goes."""
+        footprint = {"regions", "sites_per_region",
+                     "subscriber_capacity_per_element"}
+        root = pathlib.Path(__file__).resolve().parent.parent
+        config_module = root / "src" / "repro" / "core" / "config.py"
+        set_by_callers = set()
+        for directory in ("src/repro", "examples", "scripts", "perfbench"):
+            for path in sorted((root / directory).rglob("*.py")):
+                if path == config_module or "tests" in path.parts[
+                        len(root.parts):]:
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call):
+                        function = node.func
+                        name = getattr(function, "id",
+                                       getattr(function, "attr", None))
+                        if name in ("UDRConfig", "replace"):
+                            set_by_callers.update(
+                                keyword.arg for keyword in node.keywords
+                                if keyword.arg is not None)
+                    elif isinstance(node, ast.Dict):
+                        set_by_callers.update(
+                            key.value for key in node.keys
+                            if isinstance(key, ast.Constant)
+                            and isinstance(key.value, str))
+        unset = {field.name for field in dataclasses.fields(UDRConfig)} \
+            - set_by_callers - footprint
+        assert not unset, f"fields no caller sets: {sorted(unset)}"
 
     def test_adaptive_linger_policy_validation(self):
         from repro.core import AdaptiveLingerPolicy
@@ -235,13 +274,6 @@ class TestFrashGraph:
             UDRConfig(placement=PlacementMode.RANDOM),
             ClientType.APPLICATION_FE)
         assert random_placement["H-R"].position < home["H-R"].position
-
-    def test_synchronous_commit_costs_more_speed(self):
-        graph = FrashGraph()
-        base = graph.evaluate(UDRConfig(), ClientType.PROVISIONING)
-        sync = graph.evaluate(UDRConfig(synchronous_commit=True),
-                              ClientType.PROVISIONING)
-        assert sync["F-R"].position > base["F-R"].position
 
     def test_decisions_carry_rationale(self):
         decisions = FrashGraph().decisions_for(UDRConfig())

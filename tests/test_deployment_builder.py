@@ -17,7 +17,6 @@ from repro.directory.locator import (
 from repro.directory.placement import (
     HomeRegionPlacement,
     RandomPlacement,
-    RegulatoryPinning,
     RoundRobinPlacement,
 )
 from repro.sim.engine import Simulation
@@ -47,6 +46,16 @@ class TestStructure:
             config.total_storage_elements
         assert len(deployment.quorum_replicators) == \
             config.total_storage_elements
+
+    @pytest.mark.parametrize("replication_factor", [1, 2, 3])
+    def test_quorum_writes_wait_for_a_majority(self, replication_factor):
+        """The quorum is derived, not configured: a majority of the replica
+        set, which is ``min(2, RF)`` for every RF the deployments use."""
+        deployment = build(UDRConfig(seed=3,
+                                     replication_factor=replication_factor))
+        assert {replicator.write_quorum for replicator
+                in deployment.quorum_replicators.values()} == \
+            {min(2, replication_factor)}
 
     def test_element_order_interleaves_sites(self):
         deployment = build()
@@ -123,11 +132,6 @@ class TestPlacementPolicies:
         rr_deployment = build(UDRConfig(
             placement=PlacementMode.ROUND_ROBIN, seed=3))
         assert isinstance(rr_deployment.placement_policy, RoundRobinPlacement)
-
-    def test_regulatory_pins_wrap_the_policy(self):
-        deployment = build(UDRConfig(
-            regulatory_pins={"org-x": "spain"}, seed=3))
-        assert isinstance(deployment.placement_policy, RegulatoryPinning)
 
 
 class TestConfigValidation:

@@ -16,7 +16,6 @@ from repro.directory import (
     MultiIndexDirectory,
     ProvisionedLocator,
     RandomPlacement,
-    RegulatoryPinning,
     RoundRobinPlacement,
     UnknownIdentity,
 )
@@ -26,10 +25,9 @@ from repro.sim import Simulation
 
 
 class FakeSubscriber:
-    def __init__(self, key="sub-1", home_region="spain", organisation=None):
+    def __init__(self, key="sub-1", home_region="spain"):
         self.key = key
         self.home_region = home_region
-        self.organisation = organisation
 
 
 class TestIdentityLocationMap:
@@ -212,17 +210,6 @@ class TestPlacementPolicies:
         picks = {policy.choose(FakeSubscriber(), self.candidates())
                  for _ in range(50)}
         assert len(picks) > 1
-
-    def test_regulatory_pinning_overrides_home_region(self):
-        policy = RegulatoryPinning({"gov-se": "se-germany"})
-        subscriber = FakeSubscriber(home_region="spain", organisation="gov-se")
-        assert policy.choose(subscriber, self.candidates()) == "se-germany"
-        assert policy.pinned_placements == 1
-
-    def test_regulatory_pinning_delegates_when_unpinned(self):
-        policy = RegulatoryPinning({})
-        subscriber = FakeSubscriber(home_region="spain")
-        assert policy.choose(subscriber, self.candidates()) == "se-spain"
 
     def test_no_capacity_anywhere_raises(self):
         policy = RoundRobinPlacement()

@@ -661,9 +661,10 @@ def late_waiter_script(keyed):
     return log, sim._sequence
 
 
-def reference_order(config, slots, limit=None):
+def reference_order(weights, slots, limit=None):
     """The stateless weighted-priority admission order (slack-sorted within
-    a class), kept verbatim as the oracle of the persistent queue."""
+    a class), kept verbatim as the oracle of the persistent queue;
+    ``weights`` holds one quantum per class of ``PRIORITY_ORDER``."""
     queues = {p: [] for p in Priority}
     for slot in slots:
         queues[slot.item.priority_class()].append(slot)
@@ -676,10 +677,9 @@ def reference_order(config, slots, limit=None):
     cursors = {priority: 0 for priority in Priority}
     remaining = len(slots) if limit is None else min(limit, len(slots))
     while remaining > 0:
-        for priority in Priority:
+        for weight, priority in zip(weights, PRIORITY_ORDER):
             queue, cursor = queues[priority], cursors[priority]
-            take = min(config.weight_of(priority), len(queue) - cursor,
-                       remaining)
+            take = min(weight, len(queue) - cursor, remaining)
             if take <= 0:
                 continue
             ordered.extend(queue[cursor:cursor + take])
@@ -703,7 +703,7 @@ queue_actions = st.lists(st.one_of(
 
 class TestAdmissionQueueProperty:
     def test_expired_tickets_come_back_in_arrival_order(self):
-        queue = AdmissionQueue(UDRConfig())
+        queue = AdmissionQueue()
         site = None
         late, early, open_ended = (
             DispatchTicket(BatchItem(None, ClientType.APPLICATION_FE, site,
@@ -719,7 +719,7 @@ class TestAdmissionQueueProperty:
     def test_deferred_class_stays_queued_across_rounds(self):
         """Six signalling tickets outlast the signalling quantum (4), so
         the round robin reaches the bulk class -- which is deferred."""
-        queue = AdmissionQueue(UDRConfig())
+        queue = AdmissionQueue()
         tickets = [DispatchTicket(BatchItem(None, ClientType.APPLICATION_FE,
                                             None, priority=priority),
                                   0.0, None)
@@ -732,7 +732,7 @@ class TestAdmissionQueueProperty:
         assert queue.count(Priority.BULK) == 2
 
     def test_dispatched_deadlines_do_not_pile_up(self):
-        queue = AdmissionQueue(UDRConfig())
+        queue = AdmissionQueue()
         for index in range(500):
             queue.push(DispatchTicket(
                 BatchItem(None, ClientType.APPLICATION_FE, None,
@@ -744,7 +744,7 @@ class TestAdmissionQueueProperty:
     def test_deferred_expiry_does_not_pile_up_in_the_class_heap(self):
         """Shed mode defers bulk for as long as higher-class work queues, so
         pop_wave never reaches the bulk heap; expiry must still clear it."""
-        queue = AdmissionQueue(UDRConfig())
+        queue = AdmissionQueue()
         bulk_heap = queue._heaps[PRIORITY_ORDER.index(Priority.BULK)]
         now = 0.0
         for _ in range(2000):
@@ -767,8 +767,7 @@ class TestAdmissionQueueProperty:
                                 ClientType.PROVISIONING]),
                st.sampled_from([None, *Priority]),
                st.sampled_from([None, 0.1, 0.2, 0.5, 0.9])), max_size=40),
-           weights=st.fixed_dictionaries(
-               {priority.value: st.integers(1, 4) for priority in Priority}),
+           weights=st.tuples(*(st.integers(1, 4) for _ in PRIORITY_ORDER)),
            defer=st.sampled_from([None, *Priority]),
            limit=st.integers(0, 45))
     def test_reordering_a_popped_wave_changes_nothing(
@@ -777,25 +776,23 @@ class TestAdmissionQueueProperty:
         dispatcher drives it as popped: ordering it again is the identity,
         for any weights, classes, deadlines, deferred class and size."""
         udr, profiles = small_udr
-        config = udr.config.replace(priority_weights=weights)
         request = read_for(udr, profiles[0])
         site = udr.topology.sites[0]
-        queue = AdmissionQueue(config)
+        queue = AdmissionQueue(weights)
         for client_type, priority, deadline in specs:
             queue.push(DispatchTicket(
                 BatchItem(request, client_type, site, priority=priority,
                           deadline=deadline), 0.0, None))
         wave = queue.pop_wave(limit, defer)
-        assert reference_order(config, wave) == wave
-        again = AdmissionQueue(config)
+        assert reference_order(weights, wave) == wave
+        again = AdmissionQueue(weights)
         for ticket in wave:
             again.push(ticket)
         assert again.pop_wave(len(wave)) == wave
 
     @settings(max_examples=150, deadline=None)
     @given(actions=queue_actions, wave_size=st.integers(1, 6),
-           weights=st.fixed_dictionaries(
-               {priority.value: st.integers(1, 4) for priority in Priority}))
+           weights=st.tuples(*(st.integers(1, 4) for _ in PRIORITY_ORDER)))
     def test_queue_matches_the_stateless_order(self, small_udr, actions,
                                                wave_size, weights):
         """Random interleavings of submit, deadline expiry, shed on/off and
@@ -805,10 +802,11 @@ class TestAdmissionQueueProperty:
         bulk tickets."""
         udr, profiles = small_udr
         config = udr.config.replace(
-            batch_max_size=wave_size, priority_weights=weights,
+            batch_max_size=wave_size,
             dispatch_mode=DispatchMode.DISPATCHER, shed_policy=ShedPolicy())
         metrics = MetricsRegistry()
         dispatcher = BatchDispatcher(udr.sim, config, udr.pipeline, metrics)
+        dispatcher.queue = AdmissionQueue(weights)
         request = read_for(udr, profiles[0])
         site = udr.topology.sites[0]
         tick = 0.001
@@ -847,7 +845,7 @@ class TestAdmissionQueueProperty:
                     if live and len(live) < len(oracle):
                         deferred += len(oracle) - len(live)
                         candidates = live
-                expected = reference_order(config, candidates, wave_size)
+                expected = reference_order(weights, candidates, wave_size)
                 assert dispatcher._form_wave() == expected
                 oracle = [ticket for ticket in oracle
                           if ticket not in expected]
@@ -940,8 +938,7 @@ class TestCoalescedWrites:
         """A read later in the wave flushes the open group on its
         partition, so it observes its wave-mates' writes exactly as the
         sequential path would."""
-        udr, profiles = self.coalescing_udr(
-            ps_reads_from_slave=False)
+        udr, profiles = self.coalescing_udr()
         profile = profiles[0]
         dn = SubscriberSchema.subscriber_dn(profile.identities.imsi)
         site = udr.topology.sites[0]
@@ -1002,16 +999,15 @@ class TestCoalescedWrites:
         answers BUSY, which the retry policy then re-drives too."""
         from repro.core import RetryPolicy
         udr, profiles = build_udr(
-            config=UDRConfig(seed=7, coalesce_writes=True,
-                             retry_policy=RetryPolicy(max_retries=2)),
-            subscribers=48)
+            config=UDRConfig(seed=7, coalesce_writes=True), subscribers=48)
         mates = self.partition_mates(udr, profiles, 2)
         site = udr.topology.sites[0]
         self.inject_conflict(udr, on_call=conflict_on_call)
         items = [BatchItem(ModifyRequest(
             dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
             changes={"servingMsc": "retried"}),
-            ClientType.PROVISIONING, site) for mate in mates]
+            ClientType.PROVISIONING, site,
+            retry_policy=RetryPolicy(max_retries=2)) for mate in mates]
         responses = run_to_completion(udr, udr.pipeline.execute_batch(items))
         assert [r.result_code.name for r in responses] == \
             ["SUCCESS", "SUCCESS"]
@@ -1082,7 +1078,7 @@ class TestCoalescedWrites:
         def build(coalesce):
             return build_udr(config=UDRConfig(
                 seed=7, coalesce_writes=coalesce,
-                replication_mode=ReplicationMode.QUORUM, write_quorum=2),
+                replication_mode=ReplicationMode.QUORUM),
                 subscribers=48)
 
         from repro.directory.errors import UnknownIdentity
@@ -1140,8 +1136,7 @@ class TestCoalescedWrites:
         outcomes = {}
         for coalesce in (False, True):
             udr, profiles = build_udr(config=UDRConfig(
-                seed=7, coalesce_writes=coalesce, retry_policy=policy),
-                subscribers=48)
+                seed=7, coalesce_writes=coalesce), subscribers=48)
             newcomer = SubscriberGenerator(udr.config.regions,
                                            seed=515).generate_one()
             placed = udr.deployment.place_subscriber(
@@ -1174,11 +1169,11 @@ class TestCoalescedWrites:
                     dn=SubscriberSchema.subscriber_dn(
                         newcomer.identities.imsi),
                     attributes=newcomer.to_record()),
-                    ClientType.PROVISIONING, site),
+                    ClientType.PROVISIONING, site, retry_policy=policy),
                 BatchItem(ModifyRequest(
                     dn=SubscriberSchema.subscriber_dn(mate.identities.imsi),
                     changes={"servingMsc": "fenced"}),
-                    ClientType.PROVISIONING, site),
+                    ClientType.PROVISIONING, site, retry_policy=policy),
             ]
             responses = run_to_completion(
                 udr, udr.pipeline.execute_batch(items))

@@ -6,8 +6,7 @@
 * recovery re-arm: the mux subscribes to the availability manager, so a
   link stalled on a down endpoint schedules *zero* retry wakeups and
   re-arms exactly on the component's recovery;
-* per-shipment backpressure: ``replication_shipment_max_records`` splits a
-  fat backlog into bounded frames over consecutive rounds.
+* one shipment per round: a link's whole backlog rides one transfer.
 """
 
 from repro.cluster.saf import AvailabilityManager
@@ -145,75 +144,7 @@ class TestRecoveryRearm:
 
 
 class TestShipmentBackpressure:
-    def test_fat_burst_splits_into_bounded_frames(self):
-        sim, network, _elements, replica_set, channel, mux = \
-            build_link(shipment_max_records=4)
-        for index in range(10):
-            master_write(replica_set, f"k-{index}", {"v": index},
-                         timestamp=sim.now)
-        sim.run(until=0.055)  # exactly one grid point
-        assert channel.records_shipped == 4, "the first frame was capped"
-        sim.run(until=1.0)
-        assert channel.records_shipped == 10, "the backlog drained in frames"
-        assert mux.shipments == 3, "10 records / 4 per frame = 3 rounds"
-        assert channel.lag().in_sync
-
-    def test_cap_spans_channels_of_one_link(self):
-        """The cap is per shipment (per link), not per channel."""
-        from repro.storage import DataPartition, ReplicaRole
-        from repro.replication import ReplicaSet
-        sim, network, _topology, elements, set_a = \
-            build_replicated_partition(seed=4, num_elements=2,
-                                       replication_factor=2)
-        set_b = ReplicaSet(DataPartition(1))
-        set_b.add_member(elements[0], ReplicaRole.PRIMARY)
-        set_b.add_member(elements[1], ReplicaRole.SECONDARY)
-        channel_a = AsyncReplicationChannel(sim, set_a, "se-1")
-        channel_b = AsyncReplicationChannel(sim, set_b, "se-1")
-        replicate(sim, network, [channel_a, channel_b], until=0.0,
-                  shipment_max_records=3)
-        for index in range(3):
-            master_write(set_a, f"a-{index}", {"v": index},
-                         timestamp=sim.now)
-            master_write(set_b, f"b-{index}", {"v": index},
-                         timestamp=sim.now)
-        sim.run(until=0.055)
-        assert channel_a.records_shipped + channel_b.records_shipped == 3
-        sim.run(until=1.0)
-        assert channel_a.records_shipped == 3
-        assert channel_b.records_shipped == 3
-
-    def test_rotation_prevents_link_mate_starvation(self):
-        """A channel that refills the budget every round must not starve
-        the other channels of its link: the member scan rotates."""
-        from repro.storage import DataPartition, ReplicaRole
-        from repro.replication import ReplicaSet
-        sim, network, _topology, elements, set_a = \
-            build_replicated_partition(seed=5, num_elements=2,
-                                       replication_factor=2)
-        set_b = ReplicaSet(DataPartition(1))
-        set_b.add_member(elements[0], ReplicaRole.PRIMARY)
-        set_b.add_member(elements[1], ReplicaRole.SECONDARY)
-        channel_a = AsyncReplicationChannel(sim, set_a, "se-1")
-        channel_b = AsyncReplicationChannel(sim, set_b, "se-1")
-        replicate(sim, network, [channel_a, channel_b], until=0.0,
-                  shipment_max_records=2)
-
-        def keep_a_busy():
-            index = 0
-            while sim.now < 0.5:
-                # Refill partition 0 faster than the cap drains it.
-                for _ in range(3):
-                    master_write(set_a, f"a-{index}", {"v": index},
-                                 timestamp=sim.now)
-                    index += 1
-                yield sim.timeout(0.05)
-
-        sim.process(keep_a_busy())
-        master_write(set_b, "b-0", {"v": 0}, timestamp=sim.now)
-        sim.run(until=0.3)
-        assert channel_b.records_shipped == 1, \
-            "the rotating scan must reach partition 1 within a few rounds"
+    """A round ships the link's whole backlog in one transfer."""
 
     def test_unbounded_by_default(self):
         sim, _network, _elements, replica_set, channel, mux = build_link()

@@ -5,6 +5,8 @@ one-slot waves; the location-cache fast path never changes an answer; and
 the batch path (mixed-priority batches, retry exhaustion, fail-over
 mid-batch) answers its own canned matrix."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.balancer import closest_point_of_access
@@ -184,8 +186,8 @@ class TestResultCodeRegression:
     def test_result_codes_identical_with_cache_disabled(self):
         """The fast path is an optimisation, never a behaviour change."""
         cached_udr, cached_profiles = build_udr(config=UDRConfig(seed=7))
-        plain_udr, plain_profiles = build_udr(config=UDRConfig(
-            location_cache_enabled=False, seed=7))
+        plain_udr, plain_profiles = build_udr(config=UDRConfig(seed=7))
+        plain_udr.pipeline.cache_for = lambda poa: None
         assert run_request_matrix(cached_udr, cached_profiles) == \
             run_request_matrix(plain_udr, plain_profiles)
 
@@ -193,13 +195,13 @@ class TestResultCodeRegression:
 # -- the batch path's own canned matrix ----------------------------------------------
 
 
-def run_batch_request_matrix(udr, profiles):
+def run_batch_request_matrix(udr, profiles, retry_policy=None):
     """Drive canned mixed-priority batches; return the result-code names.
 
     The first batch mixes all three priority classes (and so exercises the
     weighted dequeue's reordering); the second depends on the first batch's
     state; the third reproduces the prefer-consistency partition failure
-    through the batch path.
+    through the batch path.  Every item carries ``retry_policy``.
     """
     known, other, modified = profiles[0], profiles[1], profiles[2]
     generator = SubscriberGenerator(udr.config.regions, seed=987)
@@ -242,8 +244,9 @@ def run_batch_request_matrix(udr, profiles):
     ]
     codes = []
     for batch in (first, second):
-        responses = run_to_completion(
-            udr, udr.pipeline.execute_batch([item for _label, item in batch]))
+        responses = run_to_completion(udr, udr.pipeline.execute_batch(
+            [replace(item, retry_policy=retry_policy)
+             for _label, item in batch]))
         codes.extend((label, response.result_code.name)
                      for (label, _item), response in zip(batch, responses))
 
@@ -252,7 +255,7 @@ def run_batch_request_matrix(udr, profiles):
     udr.network.apply_partition(partition)
     cut_off = [BatchItem(ModifyRequest(dn=dn(known),
                                        changes={"svcBarPremium": True}),
-                         ps, remote)]
+                         ps, remote, retry_policy=retry_policy)]
     responses = run_to_completion(udr, udr.pipeline.execute_batch(cut_off))
     codes.append(("write from cut-off side", responses[0].result_code.name))
     udr.network.heal_partition(partition)
@@ -296,15 +299,14 @@ class TestBatchResultCodeRegression:
         """Retries only act on transient codes: the canned matrix's business
         failures (unknown identity, duplicate create...) are untouched, and
         the partition row still exhausts to UNAVAILABLE."""
-        udr, profiles = build_udr(config=UDRConfig(
-            seed=7, retry_policy=RetryPolicy(max_retries=1,
-                                             backoff_tick=0.01)))
-        assert run_batch_request_matrix(udr, profiles) == BATCH_EXPECTED
+        udr, profiles = build_udr(config=UDRConfig(seed=7))
+        assert run_batch_request_matrix(
+            udr, profiles, RetryPolicy(max_retries=1, backoff_tick=0.01)) \
+            == BATCH_EXPECTED
 
     def test_retry_exhaustion_yields_unavailable(self):
         policy = RetryPolicy(max_retries=2, backoff_tick=0.01)
-        udr, profiles = build_udr(config=UDRConfig(seed=7,
-                                                   retry_policy=policy))
+        udr, profiles = build_udr(config=UDRConfig(seed=7))
         profile = profiles[0]
         crash_master_of(udr, profile)
         # A provisioning client may not read from a slave, and nobody
@@ -312,7 +314,8 @@ class TestBatchResultCodeRegression:
         item = BatchItem(
             SearchRequest(dn=SubscriberSchema.subscriber_dn(
                 profile.identities.imsi)),
-            ClientType.PROVISIONING, fe_site_for(udr, profile))
+            ClientType.PROVISIONING, fe_site_for(udr, profile),
+            retry_policy=policy)
         responses = run_to_completion(udr, udr.pipeline.execute_batch([item]))
         assert responses[0].result_code is ResultCode.UNAVAILABLE
         assert udr.metrics.counter("batch.retries") == policy.max_retries
@@ -328,9 +331,7 @@ class TestBatchResultCodeRegression:
         config_kwargs = dict(
             seed=7, replication_mode=ReplicationMode.QUORUM)
         seq_udr, seq_profiles = build_udr(config=UDRConfig(**config_kwargs))
-        bat_udr, _ = build_udr(config=UDRConfig(
-            retry_policy=RetryPolicy(max_retries=2, backoff_tick=0.01),
-            **config_kwargs))
+        bat_udr, _ = build_udr(config=UDRConfig(**config_kwargs))
         profile = seq_profiles[0]
 
         def delete_item(udr):
@@ -349,7 +350,9 @@ class TestBatchResultCodeRegression:
                                               ClientType.PROVISIONING,
                                               fe_site_for(seq_udr, profile)))
         batched = run_to_completion(
-            bat_udr, bat_udr.pipeline.execute_batch([delete_item(bat_udr)]))
+            bat_udr, bat_udr.pipeline.execute_batch([replace(
+                delete_item(bat_udr),
+                retry_policy=RetryPolicy(max_retries=2, backoff_tick=0.01))]))
         assert sequential.result_code is ResultCode.UNAVAILABLE
         assert batched[0].result_code is ResultCode.UNAVAILABLE
         assert bat_udr.metrics.counter("batch.retries") == 0
@@ -359,9 +362,7 @@ class TestBatchResultCodeRegression:
         first attempt uses the (stale) cached location and fails against the
         crashed master; the fail-over invalidates the cache; the retry
         re-locates through the locator and succeeds on the new master."""
-        udr, profiles = build_udr(config=UDRConfig(
-            seed=7, retry_policy=RetryPolicy(max_retries=1,
-                                             backoff_tick=4.0)))
+        udr, profiles = build_udr(config=UDRConfig(seed=7))
         profile = profiles[0]
         site = fe_site_for(udr, profile)
         request = SearchRequest(dn=SubscriberSchema.subscriber_dn(
@@ -381,7 +382,9 @@ class TestBatchResultCodeRegression:
             udr.fail_over(master)
 
         udr.sim.process(fail_over_later())
-        item = BatchItem(request, ClientType.PROVISIONING, site)
+        item = BatchItem(request, ClientType.PROVISIONING, site,
+                         retry_policy=RetryPolicy(max_retries=1,
+                                                  backoff_tick=4.0))
         responses = run_to_completion(udr, udr.pipeline.execute_batch([item]))
         assert responses[0].result_code is ResultCode.SUCCESS
         assert responses[0].attempts == 1, \

@@ -53,8 +53,10 @@ class TestLocationCacheFastPath:
             "the repeat resolution was served by the cache, not the locator"
 
     def test_cache_disabled_by_config(self):
-        config = UDRConfig(location_cache_enabled=False, seed=7)
-        udr, profiles = build_udr(config=config)
+        """A pipeline without a PoA cache still answers: the cache is an
+        always-on fast path, not a correctness dependency."""
+        udr, profiles = build_udr(config=UDRConfig(seed=7))
+        udr.pipeline.cache_for = lambda poa: None
         profile = profiles[0]
         site = fe_site_for(udr, profile)
         for _ in range(2):
@@ -229,9 +231,9 @@ class TestOneWalk:
             "only the live request of the batch was admitted"
 
     def test_config_retry_policy_applies_to_single_requests(self):
-        udr, profiles = build_udr(config=UDRConfig(
-            seed=7, retry_policy=RetryPolicy(max_retries=2,
-                                             backoff_tick=0.005)))
+        """A retry policy handed to a single ``execute`` drives retries."""
+        udr, profiles = build_udr(config=UDRConfig(seed=7))
+        policy = RetryPolicy(max_retries=2, backoff_tick=0.005)
         profile = profiles[0]
         site = fe_site_for(udr, profile)
         serving = closest_point_of_access(udr.network, site,
@@ -247,7 +249,8 @@ class TestOneWalk:
 
         udr.sim.process(sync_serving_locator())
         response = run_to_completion(udr, udr.pipeline.execute(
-            search_for(profile), ClientType.APPLICATION_FE, site))
+            search_for(profile), ClientType.APPLICATION_FE, site,
+            retry_policy=policy))
         assert response.result_code is ResultCode.SUCCESS
         assert response.attempts == 1, "the BUSY first attempt was retried"
         assert udr.metrics.counter("batch.retries") == 1
